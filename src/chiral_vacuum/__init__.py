@@ -7,7 +7,7 @@ shifts into chirality-selective reaction-rate predictions.
 """
 
 from .version import __version__
-from .units import UNITS, UnitError, UnitSystem, convert
+from .units import UnitError, convert
 from .core import (
     MoleculeSpectrum,
     Thermal,
@@ -45,8 +45,6 @@ from .cavity import (
 )
 from .kinetics import (
     ReactionProfile,
-    SelectivityCurve,
-    SelectivityPoint,
     selectivity,
     selectivity_sweep,
     selectivity_tst,
@@ -56,7 +54,7 @@ from .kinetics import (
 
 __all__ = [
     "__version__",
-    "UNITS", "UnitError", "UnitSystem", "convert",
+    "UnitError", "convert",
     "MoleculeSpectrum", "Thermal", "Transition",
     "bose_occupation", "isotropic_average", "random_rotations",
     "HalfspaceResult", "PasteurMaterial", "QuadratureConfig", "QuadratureError",
@@ -67,7 +65,6 @@ __all__ = [
     "OutOfRegimeError", "PolarizedEnsemble", "cavity_shift_report",
     "debye_shift_per_molecule", "london_shift", "thermal_ratio_debye",
     "thermal_ratio_london",
-    "ReactionProfile", "SelectivityCurve", "SelectivityPoint",
-    "selectivity", "selectivity_sweep", "selectivity_tst",
+    "ReactionProfile", "selectivity", "selectivity_sweep", "selectivity_tst",
     "tst_activation", "zero_point_frequency_shift",
 ]

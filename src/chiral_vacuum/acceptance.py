@@ -26,6 +26,7 @@ from .core import MoleculeSpectrum, Thermal, isotropic_average, random_rotations
 from .kinetics import ReactionProfile, selectivity, selectivity_tst, zero_point_frequency_shift
 from .pasteur import (
     DEFAULT_QUADRATURE,
+    T_CUTOFF as _T_CUTOFF,
     PasteurMaterial,
     QuadratureConfig,
     _shift_scaled,
@@ -33,8 +34,6 @@ from .pasteur import (
     energy_unit_mev,
     reflection_cross,
 )
-
-_T_CUTOFF = -0.5 * math.log(1e-16)
 
 
 # ---------------------------------------------------------------- oracles

@@ -101,8 +101,9 @@ class PolarizedEnsemble:
     def __post_init__(self):
         if len(self.d00) != 3 or len(self.m00) != 3:
             raise ValueError("dipole moments must be 3-vectors")
-        if not (isinstance(self.n_molecules, int) and self.n_molecules > 0):
-            raise ValueError(f"n_molecules must be a positive integer, got {self.n_molecules}")
+        n = self.n_molecules
+        if not (isinstance(n, int) and not isinstance(n, bool) and n > 0):
+            raise ValueError(f"n_molecules must be a positive integer, got {n}")
 
     def mirror(self) -> "PolarizedEnsemble":
         dx, dy, dz = self.d00

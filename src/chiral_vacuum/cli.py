@@ -23,11 +23,11 @@ from .cavity import (
 )
 from .config import ConfigError, RunConfig, parse_config, usage
 from .core import MoleculeSpectrum, Thermal
-from .kinetics import ReactionProfile, selectivity, selectivity_tst, tst_activation, \
+from .kinetics import ReactionProfile, selectivity_sweep, tst_activation, \
     zero_point_frequency_shift
 from .output import Column, SweepOutput, render
-from .pasteur import PasteurMaterial, QuadratureConfig, QuadratureError, \
-    energy_unit_mev, halfspace_sweep, length_unit_nm
+from .pasteur import PasteurMaterial, QuadratureError, energy_unit_mev, halfspace_sweep, \
+    length_unit_nm
 
 
 def _echo(config: RunConfig) -> list:
@@ -68,16 +68,6 @@ def _build_modes(config: RunConfig) -> CavityModeSet:
                                  config["cavity.chirality_factor"])
 
 
-def _build_quadrature(config: RunConfig) -> QuadratureConfig:
-    return QuadratureConfig(
-        rel_tol=config["quad.rel_tol"],
-        abs_tol=config["quad.abs_tol"],
-        max_subdivisions=config["quad.max_subdivisions"],
-        inner_cutoff_epsilon=config["quad.inner_cutoff_epsilon"],
-        outer_scheme=config["quad.outer_scheme"],
-    )
-
-
 def _z_grid(config: RunConfig) -> list:
     explicit = config["sweep.z_list"].strip()
     if explicit:
@@ -98,12 +88,11 @@ def _run_pasteur(config: RunConfig) -> tuple[SweepOutput, int]:
         molecule = _build_molecule(config)
         material = PasteurMaterial(config["material.eps_r"], config["material.mu_r"],
                                    config["material.kappa"])
-        cfg = _build_quadrature(config)
         grid = _z_grid(config)
         if any(z <= 0 for z in grid):
             raise ConfigError("z grid must be positive", key="sweep.z_list")
 
-    results = halfspace_sweep(grid, molecule, material, cfg)
+    results = halfspace_sweep(grid, molecule, material)
     any_failed = any(r.warning is not None for r in results)
     columns = [
         Column("z_over_zunit", "z_unit"),
@@ -202,17 +191,15 @@ def _run_debye(config: RunConfig) -> tuple[SweepOutput, int]:
     return SweepOutput("debye", _echo(config), columns, rows, notes), 0
 
 
+def _temperatures(config: RunConfig) -> list:
+    temps = config["thermal.temperatures"]
+    if any(t_k <= 0 for t_k in temps):
+        raise ConfigError("temperatures must be positive", key="thermal.temperatures")
+    return temps
+
+
 def _run_selectivity(config: RunConfig) -> tuple[SweepOutput, int]:
-    with _Builder():
-        grid = config["sweep.delta_e_mev"]
-        temps = [Thermal(t_k) for t_k in config["thermal.temperatures"]]
-        if any(t.temperature_k <= 0 for t in temps):
-            raise ConfigError("temperatures must be positive",
-                              key="thermal.temperatures")
-    rows = [
-        (de, t.temperature_k, selectivity(de, t))
-        for de in grid for t in temps
-    ]
+    rows = selectivity_sweep(config["sweep.delta_e_mev"], _temperatures(config))
     columns = (
         Column("delta_e_meV", "meV"),
         Column("temperature_K", "K"),
@@ -229,16 +216,14 @@ def _run_tst(config: RunConfig) -> tuple[SweepOutput, int]:
             curvature_b_ev3=config["profile.curvature_b_ev3"],
             mass_amu=config["profile.mass_amu"],
         )
-        temps = [Thermal(t_k) for t_k in config["thermal.temperatures"]]
-        if any(t.temperature_k <= 0 for t in temps):
-            raise ConfigError("temperatures must be positive",
-                              key="thermal.temperatures")
+        temps = _temperatures(config)
+    grid = config["sweep.delta_e_mev"]
     e_a = tst_activation(profile)
     d_omega = zero_point_frequency_shift(profile)
+    corrected = selectivity_sweep(grid, temps, profile)
     rows = [
-        (de, t.temperature_k, selectivity(de, t), e_a, d_omega,
-         selectivity_tst(de, profile, t))
-        for de in config["sweep.delta_e_mev"] for t in temps
+        (de, t_k, p, e_a, d_omega, p_tst)
+        for (de, t_k, p), (_, _, p_tst) in zip(selectivity_sweep(grid, temps), corrected)
     ]
     columns = (
         Column("delta_e_meV", "meV"),
@@ -254,7 +239,8 @@ def _run_tst(config: RunConfig) -> tuple[SweepOutput, int]:
 def _run_verify(config: RunConfig) -> tuple[SweepOutput, int]:
     results = acceptance.run_all()
     for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.index}. {r.name}: {r.detail}")
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.index}. {r.name}: {r.detail}",
+              file=sys.stderr)
     rows = [(r.index, 1 if r.passed else 0) for r in results]
     columns = (Column("criterion", "dimensionless"), Column("passed", "dimensionless"))
     notes = [(f"criterion_{r.index}", f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")

@@ -140,13 +140,6 @@ REGISTRY: dict[str, ParamSpec] = {
     "profile.curvature_b_ev3": ParamSpec(_parse_float, "0.0",
                                          "curvature perturbation b in eV^3"),
     "profile.mass_amu": ParamSpec(_parse_float, "12.0", "effective mass in amu"),
-    "quad.rel_tol": ParamSpec(_parse_float, "1e-8", "quadrature relative tolerance"),
-    "quad.abs_tol": ParamSpec(_parse_float, "1e-14", "quadrature absolute tolerance"),
-    "quad.max_subdivisions": ParamSpec(_parse_int, "200", "adaptive subdivision cap"),
-    "quad.inner_cutoff_epsilon": ParamSpec(_parse_float, "1e-16",
-                                           "exponential tail truncation threshold"),
-    "quad.outer_scheme": ParamSpec(_parse_str, "truncated",
-                                   "outer integral scheme: truncated or mapped"),
     "output.path": ParamSpec(_parse_str, "-", "output file, - for stdout"),
     "output.format": ParamSpec(_parse_str, "csv", "output format: csv or json"),
 }
@@ -159,8 +152,6 @@ COMMAND_KEYS: dict[str, tuple[str, ...]] = {
         "molecule.gap_ev", "molecule.im_rot_strength",
         "sweep.z_min", "sweep.z_max", "sweep.z_points", "sweep.z_scale",
         "sweep.z_list",
-        "quad.rel_tol", "quad.abs_tol", "quad.max_subdivisions",
-        "quad.inner_cutoff_epsilon", "quad.outer_scheme",
     ) + _OUTPUT_KEYS,
     "cavity": (
         "cavity.modes", "cavity.veff_nm3", "cavity.chirality_factor",

@@ -69,20 +69,6 @@ class ReactionProfile:
         return self.mass_amu * ATOMIC_MASS_EV
 
 
-@dataclass(frozen=True)
-class SelectivityPoint:
-    delta_e_mev: float
-    temperature_k: float
-    p_chi: float
-
-
-@dataclass(frozen=True)
-class SelectivityCurve:
-    """Family of selectivity curves; odd in delta_e at fixed temperature."""
-
-    points: tuple[SelectivityPoint, ...]
-
-
 def _saturate(p: float) -> float:
     # keep |P| < 1 strictly for finite inputs
     if p >= 1.0:
@@ -154,21 +140,19 @@ def selectivity_tst(delta_e_mev: float, profile: ReactionProfile,
 
 def selectivity_sweep(delta_e_grid_mev: Sequence[float],
                       temperatures_k: Sequence[float],
-                      profile: Optional[ReactionProfile] = None) -> SelectivityCurve:
+                      profile: Optional[ReactionProfile] = None
+                      ) -> list[tuple[float, float, float]]:
     """Selectivity over a grid of shifts and temperatures.
 
-    With a profile the TST-corrected selectivity is used.  Points are
-    ordered by the input grids, shift-major.
+    With a profile the TST-corrected selectivity is used.  Returns
+    ``(delta_e_mev, temperature_k, p)`` tuples ordered by the input
+    grids, shift-major.
     """
     if len(delta_e_grid_mev) == 0 or len(temperatures_k) == 0:
         raise ValueError("sweep grids must not be empty")
-    points = []
-    for de in delta_e_grid_mev:
-        for t_k in temperatures_k:
-            thermal = Thermal(t_k)
-            if profile is None:
-                p = selectivity(de, thermal)
-            else:
-                p = selectivity_tst(de, profile, thermal)
-            points.append(SelectivityPoint(de, t_k, p))
-    return SelectivityCurve(tuple(points))
+    thermals = [Thermal(t_k) for t_k in temperatures_k]
+    if profile is None:
+        return [(de, th.temperature_k, selectivity(de, th))
+                for de in delta_e_grid_mev for th in thermals]
+    return [(de, th.temperature_k, selectivity_tst(de, profile, th))
+            for de in delta_e_grid_mev for th in thermals]

@@ -24,8 +24,6 @@ in :class:`HalfspaceResult`.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -81,35 +79,24 @@ class PasteurMaterial:
         return math.sqrt(self.mu_r / self.eps_r)
 
 
+# Upper limit in t = x*c' beyond which exp(-2t) < 1e-16; the x and t
+# integrals are truncated there.
+T_CUTOFF = -0.5 * math.log(1e-16)
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits for the adaptive double quadrature.
-
-    ``outer_scheme`` selects how the semi-infinite x integral is handled:
-    "truncated" integrates up to the point where the exponential weight
-    falls below ``inner_cutoff_epsilon``; "mapped" substitutes
-    x = t/(1-t) onto (0, 1).  Both converge to the same value and are
-    cross-validated in the test suite.
-    """
+    """Tolerances and limits for the adaptive double quadrature."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-14
     max_subdivisions: int = 200
-    inner_cutoff_epsilon: float = 1e-16
-    outer_scheme: str = "truncated"
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0 and self.inner_cutoff_epsilon > 0):
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be >= 10")
-        if self.outer_scheme not in ("truncated", "mapped"):
-            raise ValueError(f"unknown outer_scheme {self.outer_scheme!r}")
-
-    @property
-    def t_cutoff(self) -> float:
-        """Upper limit in t = x*c' beyond which exp(-2t) < inner_cutoff_epsilon."""
-        return -0.5 * math.log(self.inner_cutoff_epsilon)
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -140,7 +127,13 @@ def reflection_cross(c_prime, material: PasteurMaterial):
         c'_{+-}^2 = 1 + (c'^2 - 1) / (eps_r mu_r (1 +- kappa_r)^2),
 
     with positive square roots.  Odd in kappa; identically zero for
-    kappa = 0.  Accepts a scalar or ndarray c' >= 1.
+    kappa = 0.  At kappa_r = +-1 one of c'_{+-} is infinite and r takes
+    its finite limit
+
+        r = -kappa_r 2 eta0 eta c' / ((eta0^2 + eta^2) c' + 2 eta0 eta c'_f),
+        c'_f^2 = 1 + (c'^2 - 1) / (4 eps_r mu_r).
+
+    Accepts a scalar or ndarray c' >= 1.
 
     Parameters
     ----------
@@ -164,6 +157,9 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     sqrt = np.sqrt if is_array else math.sqrt
     eta = material.impedance_ratio
     t = (c_prime * c_prime - 1.0) / (material.eps_r * material.mu_r)
+    if kr == 1.0 or kr == -1.0:
+        c_finite = sqrt(1.0 + t / 4.0)
+        return -kr * 2.0 * eta * c_prime / ((1.0 + eta * eta) * c_prime + 2.0 * eta * c_finite)
     cp = sqrt(1.0 + t / (1.0 + kr) ** 2)
     cm = sqrt(1.0 + t / (1.0 - kr) ** 2)
     num = 2.0 * eta * c_prime * (cp - cm)
@@ -213,15 +209,14 @@ def _g_kernel(x: float, material: PasteurMaterial, cfg: QuadratureConfig):
     failures are reported, not raised, so an enclosing outer quadrature
     can finish and attribute a meaningful partial result.
     """
-    tmax = cfg.t_cutoff
-    if x >= tmax:
+    if x >= T_CUTOFF:
         return 0.0, 0.0, None
 
     def integrand(t):
         return math.exp(-2.0 * t) * (t * t - x * x) * reflection_cross(t / x, material)
 
     try:
-        val, err = _quad_checked(integrand, x, tmax, cfg, rel_scale=0.1)
+        val, err = _quad_checked(integrand, x, T_CUTOFF, cfg, rel_scale=0.1)
         return val, err, None
     except QuadratureError as exc:
         return exc.value, exc.error_estimate, str(exc)
@@ -274,12 +269,11 @@ def _outer_integral(a: float, material: PasteurMaterial, cfg: QuadratureConfig):
     QUADPACK estimate with the worst relative error reported by the
     inner quadrature.
     """
-    tmax = cfg.t_cutoff
     worst_inner = [0.0]
     inner_failures: list[str] = []
 
     def f(x):
-        if x <= 0.0 or x >= tmax:
+        if x <= 0.0 or x >= T_CUTOFF:
             return 0.0
         g, gerr, failure = _g_kernel(x, material, cfg)
         if failure is not None and len(inner_failures) < 3:
@@ -289,19 +283,10 @@ def _outer_integral(a: float, material: PasteurMaterial, cfg: QuadratureConfig):
         return g / (a * a + x * x)
 
     outer_failure = None
+    pts = sorted({p for p in (a, 3 * a, 10 * a, 30 * a, 100 * a, 300 * a)
+                  if 0.0 < p < T_CUTOFF})
     try:
-        if cfg.outer_scheme == "mapped":
-            def f_mapped(t):
-                x = t / (1.0 - t)
-                return f(x) / (1.0 - t) ** 2
-
-            pts = sorted({p / (1.0 + p) for p in (a, 3 * a, 10 * a, 30 * a, 100 * a, 300 * a)
-                          if 0.0 < p < tmax})
-            val, err = _quad_checked(f_mapped, 0.0, 1.0, cfg, points=pts)
-        else:
-            pts = sorted({p for p in (a, 3 * a, 10 * a, 30 * a, 100 * a, 300 * a)
-                          if 0.0 < p < tmax})
-            val, err = _quad_checked(f, 0.0, tmax, cfg, points=pts)
+        val, err = _quad_checked(f, 0.0, T_CUTOFF, cfg, points=pts)
     except QuadratureError as exc:
         val, err, outer_failure = exc.value, exc.error_estimate, str(exc)
 
@@ -418,30 +403,19 @@ def chiral_shift_nonretarded(z: float, molecule: MoleculeSpectrum,
     return coeff / z**3
 
 
-def _sweep_threads() -> int:
-    raw = os.environ.get("CHIRAL_VACUUM_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
                     material: PasteurMaterial,
                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> list[HalfspaceResult]:
     """Evaluate the full and non-retarded shifts on a grid of distances.
 
     Per-point quadrature failures are reported in the ``warning`` field of
-    the corresponding result instead of aborting the sweep.  Points are
-    independent; the CHIRAL_VACUUM_THREADS environment variable caps the
-    parallel fan-out (default serial).
+    the corresponding result instead of aborting the sweep.
     """
     if len(z_grid) == 0:
         raise ValueError("z grid must not be empty")
     e_mev = energy_unit_mev(molecule)
-
-    def one(z: float) -> HalfspaceResult:
+    results = []
+    for z in z_grid:
         warning = None
         try:
             val, err = _shift_scaled(z, molecule, material, cfg)
@@ -449,7 +423,7 @@ def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
             val, err = exc.value, exc.error_estimate
             warning = str(exc)
         nr = chiral_shift_nonretarded(z, molecule, material)
-        return HalfspaceResult(
+        results.append(HalfspaceResult(
             z_over_zunit=z,
             shift_eunit=val,
             shift_mev=val * e_mev,
@@ -458,10 +432,5 @@ def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
             error_eunit=err,
             error_mev=err * abs(e_mev),
             warning=warning,
-        )
-
-    threads = _sweep_threads()
-    if threads > 1 and len(z_grid) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, z_grid))
-    return [one(z) for z in z_grid]
+        ))
+    return results

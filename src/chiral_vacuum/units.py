@@ -9,7 +9,6 @@ eV, meV, nm and K; conversions happen here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # --- SI defining constants (exact) ---
 E_CHARGE = 1.602176634e-19          # C
@@ -37,46 +36,6 @@ BOHR_RADIUS_NM = BOHR_RADIUS * 1e9
 class UnitError(ValueError):
     """Raised when a conversion is requested between incompatible units."""
 
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Constant table exposed as a single object.
-
-    Attributes
-    ----------
-    e : float
-        Elementary charge in C.
-    a0 : float
-        Bohr radius in m.
-    mu_b : float
-        Bohr magneton in J/T.
-    alpha : float
-        Fine-structure constant.
-    e_ryd : float
-        Rydberg energy in eV.
-    k_b : float
-        Boltzmann constant in eV/K.
-    eps0, mu0 : float
-        Vacuum permittivity (F/m) and permeability (N/A^2).
-    c : float
-        Speed of light in m/s.
-    hbar : float
-        Reduced Planck constant in J s.
-    """
-
-    e: float = E_CHARGE
-    a0: float = BOHR_RADIUS
-    mu_b: float = BOHR_MAGNETON
-    alpha: float = FINE_STRUCTURE
-    e_ryd: float = RYDBERG_EV
-    k_b: float = BOLTZMANN_EV
-    eps0: float = EPSILON_0
-    mu0: float = MU_0
-    c: float = C_LIGHT
-    hbar: float = HBAR
-
-
-UNITS = UnitSystem()
 
 # unit name -> (dimension, scale to the dimension's base unit)
 # bases: energy -> eV, length -> nm, temperature -> K

@@ -57,6 +57,12 @@ def test_ensemble_validation_and_mirror():
     assert mirrored.mirror() == ens
 
 
+def test_ensemble_rejects_bool_count():
+    # bool is an int subclass; True must not pass as one molecule
+    with pytest.raises(ValueError):
+        PolarizedEnsemble((0.2, 0.0, 0.0), (0.0, 1.0, 0.0), True)
+
+
 # --------------------------------------------------------------- london
 
 def test_london_headline_estimate():

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from chiral_vacuum import acceptance
+from chiral_vacuum import QuadratureConfig, acceptance, cli
 from chiral_vacuum.cli import main
 
 
@@ -96,16 +97,36 @@ def test_unparseable_value_exits_2(capsys):
     assert code == 2
 
 
-def test_partial_quadrature_failure_exits_1_with_error_column(capsys):
+def test_partial_quadrature_failure_exits_1_with_error_column(monkeypatch, capsys):
+    # a quadrature too tight to converge at z = 1e-3 makes that point fail
+    bad = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-30, max_subdivisions=10)
+    sweep = cli.halfspace_sweep
+    monkeypatch.setattr(cli, "halfspace_sweep",
+                        lambda grid, molecule, material: sweep(grid, molecule, material, bad))
     code, out, _ = run_cli(
-        ["pasteur", "--material.kappa", "0.4", "--sweep.z_list", "0.001,0.5",
-         "--quad.rel_tol", "1e-13", "--quad.abs_tol", "1e-30",
-         "--quad.max_subdivisions", "10"], capsys)
+        ["pasteur", "--material.kappa", "0.4", "--sweep.z_list", "0.001,0.5"], capsys)
     assert code == 1
     cols = [l for l in header_lines(out) if l.startswith("# column")]
     assert any("error_flag" in c for c in cols)
     rows = data_rows(out)
     assert any(row.endswith(",1") for row in rows)
+
+
+def test_quadrature_keys_are_not_settable(capsys):
+    code, _, err = run_cli(["pasteur", "--quad.rel_tol", "1e-8"], capsys)
+    assert code == 2
+    assert "quad.rel_tol" in err
+    _, out, _ = run_cli(["--help"], capsys)
+    assert "quad." not in out
+
+
+def test_pasteur_at_kappa_r_endpoint_exits_0(capsys):
+    code, out, err = run_cli(
+        ["pasteur", "--material.kappa", "1.0", "--sweep.z_list", "0.01,1.0"], capsys)
+    assert code == 0, err
+    rows = [[float(v) for v in row.split(",")] for row in data_rows(out)]
+    assert len(rows) == 2
+    assert all(math.isfinite(v) for row in rows for v in row)
 
 
 def test_pasteur_sweep_output_shape(capsys):
@@ -162,16 +183,24 @@ def test_verify_plumbing_all_pass(monkeypatch, capsys):
     fake = [acceptance.CriterionResult(1, "alpha", True, "ok"),
             acceptance.CriterionResult(2, "beta", True, "ok")]
     monkeypatch.setattr(acceptance, "run_all", lambda: fake)
-    code, out, _ = run_cli(["verify"], capsys)
+    code, _, err = run_cli(["verify"], capsys)
     assert code == 0
-    assert "PASS  1. alpha" in out
-    assert "PASS  2. beta" in out
+    assert "PASS  1. alpha" in err
+    assert "PASS  2. beta" in err
 
 
 def test_verify_plumbing_failure_exits_1(monkeypatch, capsys):
     fake = [acceptance.CriterionResult(1, "alpha", True, "ok"),
             acceptance.CriterionResult(2, "beta", False, "off by 7")]
     monkeypatch.setattr(acceptance, "run_all", lambda: fake)
-    code, out, _ = run_cli(["verify"], capsys)
+    code, _, err = run_cli(["verify"], capsys)
     assert code == 1
-    assert "FAIL  2. beta" in out
+    assert "FAIL  2. beta" in err
+
+
+def test_verify_json_stdout_is_valid_json(monkeypatch, capsys):
+    fake = [acceptance.CriterionResult(1, "alpha", True, "ok")]
+    monkeypatch.setattr(acceptance, "run_all", lambda: fake)
+    code, out, _ = run_cli(["verify", "--output.format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["rows"] == [[1, 1]]

@@ -167,31 +167,30 @@ def test_tst_antisymmetry_under_joint_flip():
 # --------------------------------------------------------------- sweeps
 
 def test_sweep_shape_and_ordering():
-    curve = selectivity_sweep([-10.0, 0.0, 10.0], [200.0, 300.0])
-    assert len(curve.points) == 6
-    assert [p.delta_e_mev for p in curve.points] == [-10.0, -10.0, 0.0, 0.0, 10.0, 10.0]
-    assert [p.temperature_k for p in curve.points] == [200.0, 300.0] * 3
+    rows = selectivity_sweep([-10.0, 0.0, 10.0], [200.0, 300.0])
+    assert len(rows) == 6
+    assert all(type(row) is tuple and len(row) == 3 for row in rows)
+    assert [de for de, _, _ in rows] == [-10.0, -10.0, 0.0, 0.0, 10.0, 10.0]
+    assert [t_k for _, t_k, _ in rows] == [200.0, 300.0] * 3
+    assert rows[-1][2] == selectivity(10.0, T300)
 
 
 def test_sweep_antisymmetric_for_symmetric_grid():
     grid = list(np.linspace(-60.0, 60.0, 25))
-    curve = selectivity_sweep(grid, [300.0])
-    ps = [p.p_chi for p in curve.points]
+    ps = [p for _, _, p in selectivity_sweep(grid, [300.0])]
     assert all(a == -b for a, b in zip(ps, reversed(ps)))
 
 
 def test_sweep_colder_curve_dominates():
     grid = [5.0, 20.0, 50.0]
-    curve = selectivity_sweep(grid, [200.0, 400.0])
     by_temp = {}
-    for p in curve.points:
-        by_temp.setdefault(p.temperature_k, []).append(p.p_chi)
+    for _, t_k, p in selectivity_sweep(grid, [200.0, 400.0]):
+        by_temp.setdefault(t_k, []).append(p)
     assert all(c > h for c, h in zip(by_temp[200.0], by_temp[400.0]))
 
 
 def test_sweep_sigmoid_saturates():
-    curve = selectivity_sweep([-5000.0, 0.0, 5000.0], [300.0])
-    ps = [p.p_chi for p in curve.points]
+    ps = [p for _, _, p in selectivity_sweep([-5000.0, 0.0, 5000.0], [300.0])]
     assert ps[0] < -0.999999
     assert ps[1] == 0.0
     assert ps[2] > 0.999999
@@ -201,8 +200,8 @@ def test_sweep_with_profile_uses_tst():
     omega, mass = 0.1, 12.0
     b = 1e-4 * mass * 9.3149410242e8 * omega**2
     profile = ReactionProfile(1.0, omega, b, mass)
-    curve = selectivity_sweep([30.0], [300.0], profile)
-    assert curve.points[0].p_chi == selectivity_tst(30.0, profile, T300)
+    rows = selectivity_sweep([30.0], [300.0], profile)
+    assert rows == [(30.0, 300.0, selectivity_tst(30.0, profile, T300))]
 
 
 def test_sweep_rejects_empty_grids():

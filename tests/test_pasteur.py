@@ -47,8 +47,6 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=5)
-    with pytest.raises(ValueError):
-        QuadratureConfig(outer_scheme="simpson")
 
 
 # ------------------------------------------------------------ reflection
@@ -72,14 +70,30 @@ def test_reflection_limit_closed_form():
     assert reflection_limit(mat) == pytest.approx(
         float(reflection_cross(1e8, mat)), rel=1e-7)
     assert reflection_limit(PasteurMaterial(2.0, 1.0, 0.0)) == 0.0
+    endpoint = PasteurMaterial(2.0, 3.0, math.sqrt(6.0))  # kappa_r = 1
+    assert reflection_limit(endpoint) == pytest.approx(
+        float(reflection_cross(1e8, endpoint)), rel=1e-7)
 
 
 def test_reflection_odd_in_kappa():
     for c in (1.0, 1.3, 2.0, 7.0, 100.0):
-        for kappa in (0.1, 0.25, 0.4):
+        for kappa in (0.1, 0.25, 0.4, 1.0):
             plus = reflection_cross(c, PasteurMaterial(1.0, 1.0, kappa))
             minus = reflection_cross(c, PasteurMaterial(1.0, 1.0, -kappa))
             assert minus == -plus  # exact: c'_+ and c'_- swap roles
+
+
+def test_reflection_endpoint_is_the_limit_of_nearby_kappa():
+    grid = np.array([1.0, 1.3, 2.0, 7.0, 100.0])
+    for eps, mu in [(1.0, 1.0), (2.0, 3.0)]:
+        n = math.sqrt(eps * mu)
+        for sign in (1.0, -1.0):
+            end = reflection_cross(grid, PasteurMaterial(eps, mu, sign * n))
+            near = reflection_cross(grid, PasteurMaterial(eps, mu, sign * (1.0 - 1e-9) * n))
+            assert np.all(np.isfinite(end))
+            # the limit is not uniform at c' = 1, where r = 0 for |kappa_r| < 1
+            assert end[1:] == pytest.approx(near[1:], rel=1e-6)
+            assert reflection_cross(2.0, PasteurMaterial(eps, mu, sign * n)) == end[2]
 
 
 def test_reflection_rejects_cprime_below_one():
@@ -176,10 +190,21 @@ def test_shift_linear_in_rotatory_strength():
 
 
 def test_nonretarded_agreement_close_in():
-    # the short-distance law holds to 1% at z = 1e-3 z_unit
-    full = chiral_shift_halfspace(1e-3, MOL, VACUUMLIKE, CFG)
-    nr = chiral_shift_nonretarded(1e-3, MOL, VACUUMLIKE)
-    assert abs(full - nr) / abs(nr) < 0.01
+    # the short-distance law holds to 1% at z = 1e-3 z_unit, also at kappa_r = +-1
+    for kappa in (0.4, 1.0, -1.0):
+        material = PasteurMaterial(1.0, 1.0, kappa)
+        full = chiral_shift_halfspace(1e-3, MOL, material, CFG)
+        nr = chiral_shift_nonretarded(1e-3, MOL, material)
+        assert abs(full - nr) / abs(nr) < 0.01
+
+
+def test_shift_at_kappa_r_endpoints_is_odd_and_continuous():
+    for z in (0.01, 0.5, 5.0):
+        plus = chiral_shift_halfspace(z, MOL, PasteurMaterial(1.0, 1.0, 1.0), CFG)
+        minus = chiral_shift_halfspace(z, MOL, PasteurMaterial(1.0, 1.0, -1.0), CFG)
+        assert minus == -plus
+        near = chiral_shift_halfspace(z, MOL, PasteurMaterial(1.0, 1.0, 1.0 - 1e-9), CFG)
+        assert plus == pytest.approx(near, rel=1e-5)
 
 
 def test_nonretarded_departure_at_tenth_zunit():
@@ -188,13 +213,6 @@ def test_nonretarded_departure_at_tenth_zunit():
     nr = chiral_shift_nonretarded(0.1, MOL, VACUUMLIKE)
     rel = abs(full - nr) / abs(nr)
     assert 0.01 < rel < 0.15
-
-
-def test_outer_schemes_cross_validate():
-    truncated = chiral_shift_halfspace(0.5, MOL, VACUUMLIKE, CFG)
-    mapped = chiral_shift_halfspace(
-        0.5, MOL, VACUUMLIKE, QuadratureConfig(outer_scheme="mapped"))
-    assert mapped == pytest.approx(truncated, rel=1e-9)
 
 
 def test_shift_rejects_nonpositive_z():
@@ -286,9 +304,3 @@ def test_scale_factors():
         / sc.e * 1e3
     assert energy_unit_mev(MOL) == pytest.approx(expect, rel=1e-6)
 
-
-def test_threads_env_var_does_not_change_results(monkeypatch):
-    serial = halfspace_sweep([0.3, 0.6, 0.9], MOL, VACUUMLIKE, CFG)
-    monkeypatch.setenv("CHIRAL_VACUUM_THREADS", "3")
-    threaded = halfspace_sweep([0.3, 0.6, 0.9], MOL, VACUUMLIKE, CFG)
-    assert serial == threaded

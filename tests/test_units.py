@@ -3,7 +3,7 @@ import math
 import pytest
 import scipy.constants as sc
 
-from chiral_vacuum import UNITS, UnitError, convert
+from chiral_vacuum import UnitError, convert
 from chiral_vacuum import units
 
 
@@ -84,10 +84,5 @@ def test_unknown_unit_rejected():
         convert(1.0, "furlong", "nm")
 
 
-def test_unit_system_exposes_table():
-    assert UNITS.e == units.E_CHARGE
-    assert UNITS.a0 == units.BOHR_RADIUS
-    assert UNITS.mu_b == units.BOHR_MAGNETON
-    assert UNITS.alpha == units.FINE_STRUCTURE
-    assert UNITS.k_b == pytest.approx(8.617333262e-5, rel=1e-9)
-    assert UNITS.c == units.C_LIGHT
+def test_boltzmann_constant_in_ev():
+    assert units.BOLTZMANN_EV == pytest.approx(8.617333262e-5, rel=1e-9)
