@@ -7,7 +7,6 @@ shifts into chirality-selective reaction-rate predictions.
 """
 
 from .version import __version__
-from .units import UnitError, convert
 from .core import (
     MoleculeSpectrum,
     Thermal,
@@ -28,7 +27,6 @@ from .pasteur import (
     length_unit_nm,
     reflection_cross,
     reflection_limit,
-    trace_curl_green,
 )
 from .cavity import (
     CavityMode,
@@ -54,13 +52,11 @@ from .kinetics import (
 
 __all__ = [
     "__version__",
-    "UnitError", "convert",
     "MoleculeSpectrum", "Thermal", "Transition",
     "bose_occupation", "isotropic_average", "random_rotations",
     "HalfspaceResult", "PasteurMaterial", "QuadratureConfig", "QuadratureError",
     "chiral_shift_halfspace", "chiral_shift_nonretarded", "energy_unit_mev",
     "halfspace_sweep", "length_unit_nm", "reflection_cross", "reflection_limit",
-    "trace_curl_green",
     "CavityMode", "CavityModeSet", "CavityShiftReport", "ModeReport",
     "OutOfRegimeError", "PolarizedEnsemble", "cavity_shift_report",
     "debye_shift_per_molecule", "london_shift", "thermal_ratio_debye",

@@ -51,7 +51,7 @@ class CavityMode:
             raise ValueError(f"mode frequency must be positive, got {self.omega_ev}")
         if not self.veff_nm3 > 0.0:
             raise ValueError(f"effective volume must be positive, got {self.veff_nm3}")
-        if abs(self.chirality_factor) > 0.5:
+        if not abs(self.chirality_factor) <= 0.5:
             raise ValueError(
                 f"chirality factor must lie in [-1/2, 1/2], got {self.chirality_factor}"
             )

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 physics/domain error (including partial sweep
-failures), 2 configuration error.
+failures and non-finite results), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from .cavity import (
     debye_shift_per_molecule,
     thermal_ratio_debye,
 )
-from .config import ConfigError, RunConfig, parse_config, usage
+from .config import MAX_GRID_POINTS, ConfigError, RunConfig, parse_config, usage
 from .core import MoleculeSpectrum, Thermal
 from .kinetics import ReactionProfile, selectivity_sweep, tst_activation, \
     zero_point_frequency_shift
 from .output import Column, SweepOutput, render
-from .pasteur import PasteurMaterial, QuadratureError, energy_unit_mev, halfspace_sweep, \
-    length_unit_nm
+from .pasteur import PasteurMaterial, energy_unit_mev, halfspace_sweep, length_unit_nm
 
 
 def _echo(config: RunConfig) -> list:
@@ -69,13 +68,12 @@ def _build_modes(config: RunConfig) -> CavityModeSet:
 
 
 def _z_grid(config: RunConfig) -> list:
-    explicit = config["sweep.z_list"].strip()
-    if explicit:
-        return [float(p) for p in explicit.split(",") if p.strip()]
+    if config["sweep.z_list"] is not None:
+        return config["sweep.z_list"]
     n = config["sweep.z_points"]
     lo, hi = config["sweep.z_min"], config["sweep.z_max"]
-    if n < 1:
-        raise ConfigError("z_points must be >= 1", key="sweep.z_points")
+    if not 1 <= n <= MAX_GRID_POINTS:
+        raise ConfigError(f"z_points must lie in [1, {MAX_GRID_POINTS}]", key="sweep.z_points")
     if config["sweep.z_scale"] == "log":
         if lo <= 0:
             raise ConfigError("log spacing needs z_min > 0", key="sweep.z_min")
@@ -264,6 +262,16 @@ def run(config: RunConfig) -> tuple[SweepOutput, int]:
     return _RUNNERS[config.command](config)
 
 
+def _non_finite_field(out: SweepOutput) -> Optional[str]:
+    """Name of the first column or note holding a NaN or infinite float, else None."""
+    try:  # fast path: the sum of all cells is finite only if every cell is
+        rows = () if math.isfinite(sum(map(sum, out.rows))) else out.rows
+    except (TypeError, OverflowError):  # None cells, or huge ints
+        rows = out.rows
+    named = [(c.name, v) for row in rows for c, v in zip(out.columns, row)] + list(out.notes)
+    return next((name for name, v in named if isinstance(v, float) and not math.isfinite(v)), None)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if not argv or argv[0] in ("-h", "--help"):
@@ -281,8 +289,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, QuadratureError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    bad = _non_finite_field(out)
+    if bad is not None:
+        print(f"error: non-finite result in {bad!r}", file=sys.stderr)
         return 1
 
     text = render(out, config["output.format"])

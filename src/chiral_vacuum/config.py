@@ -10,6 +10,7 @@ cavity modes 0.1..1.0 eV in 0.2 nm^3, eps_r = mu_r = 1, T = 300 K).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -26,8 +27,15 @@ class ConfigError(ValueError):
         self.line = line
 
 
+# Largest grid a range or a point count may ask for.
+MAX_GRID_POINTS = 1_000_000
+
+
 def _parse_float(s: str) -> float:
-    return float(s)
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"value must be finite, got {value}")
+    return value
 
 
 def _parse_int(s: str) -> int:
@@ -42,7 +50,11 @@ def _parse_float_list(s: str) -> list[float]:
     items = [p.strip() for p in s.split(",") if p.strip()]
     if not items:
         raise ValueError("empty list")
-    return [float(p) for p in items]
+    return [_parse_float(p) for p in items]
+
+
+def _parse_optional_float_list(s: str) -> Optional[list[float]]:
+    return _parse_float_list(s) if s.strip() else None
 
 
 def _parse_int_list(s: str) -> list[int]:
@@ -62,10 +74,13 @@ def _parse_grid(s: str) -> list[float]:
         parts = s.split(":")
         if len(parts) != 3:
             raise ValueError("range syntax is start:step:stop")
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = (_parse_float(p) for p in parts)
         if step == 0.0:
             raise ValueError("range step must be nonzero")
-        n = int(round((stop - start) / step)) + 1
+        steps = (stop - start) / step
+        if steps + 1.0 > MAX_GRID_POINTS:
+            raise ValueError(f"range has more than {MAX_GRID_POINTS} points")
+        n = int(round(steps)) + 1 if steps > -1.0 else 0  # round(-inf) overflows
         if n < 1:
             raise ValueError("range is empty")
         if abs(start + (n - 1) * step - stop) > 1e-9 * max(abs(step), 1.0):
@@ -88,7 +103,7 @@ def _parse_modes_detailed(s: str) -> list[dict]:
         unknown = set(entry) - {"omega_ev", "veff_nm3", "chirality_factor"}
         if unknown:
             raise ValueError(f"unknown mode fields {sorted(unknown)}")
-        out.append({k: float(v) for k, v in entry.items()})
+        out.append({k: _parse_float(v) for k, v in entry.items()})
     return out
 
 
@@ -129,7 +144,8 @@ REGISTRY: dict[str, ParamSpec] = {
     "sweep.z_max": ParamSpec(_parse_float, "2.0", "sweep end, multiples of z_unit"),
     "sweep.z_points": ParamSpec(_parse_int, "50", "number of sweep points"),
     "sweep.z_scale": ParamSpec(_parse_str, "linear", "z spacing: linear or log"),
-    "sweep.z_list": ParamSpec(_parse_str, "", "explicit z list (overrides min/max)"),
+    "sweep.z_list": ParamSpec(_parse_optional_float_list, "",
+                              "explicit z list (overrides min/max)"),
     "sweep.delta_e_mev": ParamSpec(_parse_grid, "-100:5:100",
                                    "energy-shift grid in meV"),
     "sweep.n_list": ParamSpec(_parse_int_list, "1,10,100",

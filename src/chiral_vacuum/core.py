@@ -69,13 +69,13 @@ class Thermal:
     temperature_k: float
 
     def __post_init__(self):
-        if self.temperature_k < 0.0:
+        if not self.temperature_k >= 0.0:
             raise ValueError(f"temperature must be >= 0 K, got {self.temperature_k}")
 
     @classmethod
     def from_kbt_ev(cls, kbt_ev: float) -> "Thermal":
         """Build from the thermal energy k_B*T given in eV."""
-        if kbt_ev < 0.0:
+        if not kbt_ev >= 0.0:
             raise ValueError("k_B*T must be >= 0")
         return cls(kbt_ev / BOLTZMANN_EV)
 

@@ -56,7 +56,7 @@ class ReactionProfile:
             raise ValueError(f"omega_nu must be positive, got {self.omega_nu_ev}")
         if not self.mass_amu > 0.0:
             raise ValueError(f"mass must be positive, got {self.mass_amu}")
-        if self.omega_nu_ev**2 + self.curvature_b_ev3 / self.mass_ev <= 0.0:
+        if not self.omega_nu_ev**2 + self.curvature_b_ev3 / self.mass_ev > 0.0:
             raise ValueError("curvature perturbation destroys the reactant well")
         if self.barrier_ev - 0.5 * self.omega_nu_ev < 0.0:
             warnings.warn(

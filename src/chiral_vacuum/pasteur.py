@@ -37,8 +37,9 @@ from .units import E_CHARGE, HBAR, C_LIGHT, MU_0, BOHR_RADIUS, BOHR_MAGNETON, HB
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge.
 
-    Carries the partial result and its error estimate so that sweeps can
-    report the point instead of discarding it.
+    Raised only by :func:`chiral_shift_halfspace`, with the partial result
+    and its error estimate; :func:`halfspace_sweep` does not raise it but
+    puts the message in the point's ``warning`` field.
     """
 
     def __init__(self, message: str, value: float, error_estimate: float):
@@ -64,7 +65,7 @@ class PasteurMaterial:
             raise ValueError(f"eps_r must be positive, got {self.eps_r}")
         if not self.mu_r > 0.0:
             raise ValueError(f"mu_r must be positive, got {self.mu_r}")
-        if abs(self.kappa_r) > 1.0:
+        if not abs(self.kappa_r) <= 1.0:
             raise ValueError(
                 f"relative Pasteur parameter {self.kappa_r} outside [-1, 1]"
             )
@@ -182,21 +183,13 @@ def reflection_limit(material: PasteurMaterial) -> float:
     return num / den
 
 
-def _quad_checked(func, lo, hi, cfg: QuadratureConfig, rel_scale=1.0, points=None):
-    # rel_scale < 1 tightens the tolerance (used for the inner integral)
-    kwargs = dict(
-        epsabs=cfg.abs_tol * rel_scale,
-        epsrel=cfg.rel_tol * rel_scale,
-        limit=cfg.max_subdivisions,
-        full_output=1,
-    )
-    if points:
-        kwargs["points"] = points
-    out = quad(func, lo, hi, **kwargs)
-    val, err = out[0], out[1]
-    if len(out) > 3:
-        raise QuadratureError(str(out[3]), val, err)
-    return val, err
+def _quad(func, lo, hi, cfg: QuadratureConfig, rel_scale=1.0, points=None):
+    """QUADPACK on [lo, hi] as (value, error_estimate, failure_message_or_None).
+
+    rel_scale < 1 tightens the tolerance (used for the inner integral)."""
+    out = quad(func, lo, hi, epsabs=cfg.abs_tol * rel_scale, epsrel=cfg.rel_tol * rel_scale,
+               limit=cfg.max_subdivisions, points=points or None, full_output=1)
+    return out[0], out[1], (str(out[3]) if len(out) > 3 else None)
 
 
 def _g_kernel(x: float, material: PasteurMaterial, cfg: QuadratureConfig):
@@ -204,10 +197,9 @@ def _g_kernel(x: float, material: PasteurMaterial, cfg: QuadratureConfig):
 
     Equals x^3 * int_1^inf dc' exp(-2 x c') (c'^2 - 1) r(c').  The t
     substitution keeps the integrand single-scale for every x, which is
-    what makes the nested quadrature cheap.  Returns
-    (value, error_estimate, failure_message_or_None); convergence
-    failures are reported, not raised, so an enclosing outer quadrature
-    can finish and attribute a meaningful partial result.
+    what makes the nested quadrature cheap.  Returns the :func:`_quad`
+    triple, so an enclosing outer quadrature can finish and attribute a
+    meaningful partial result.
     """
     if x >= T_CUTOFF:
         return 0.0, 0.0, None
@@ -215,87 +207,37 @@ def _g_kernel(x: float, material: PasteurMaterial, cfg: QuadratureConfig):
     def integrand(t):
         return math.exp(-2.0 * t) * (t * t - x * x) * reflection_cross(t / x, material)
 
-    try:
-        val, err = _quad_checked(integrand, x, T_CUTOFF, cfg, rel_scale=0.1)
-        return val, err, None
-    except QuadratureError as exc:
-        return exc.value, exc.error_estimate, str(exc)
-
-
-def trace_curl_green(xi_ev: float, z_inv_ev: float, material: PasteurMaterial,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Trace of the curl of the scattering Green's function at i*xi.
-
-    The trace is purely imaginary on the imaginary axis; this returns its
-    real coefficient V, where Tr(curl G)(i xi) = i V and
-
-        V = -(xi^2 / 2 pi) int_1^inf dc' exp(-2 c' xi z) (c'^2 - 1) r(c').
-
-    Parameters
-    ----------
-    xi_ev : float
-        Imaginary frequency in eV, > 0.
-    z_inv_ev : float
-        Distance above the surface in natural length units 1/eV, > 0.
-    material : PasteurMaterial
-    cfg : QuadratureConfig
-
-    Returns
-    -------
-    float
-        V in eV^3.
-
-    Raises
-    ------
-    QuadratureError
-        On non-convergence; carries the partial value.
-    """
-    if not xi_ev > 0.0:
-        raise ValueError(f"xi must be positive, got {xi_ev}")
-    if not z_inv_ev > 0.0:
-        raise ValueError(f"z must be positive, got {z_inv_ev}")
-    x = xi_ev * z_inv_ev
-    g, err, failure = _g_kernel(x, material, cfg)
-    scale = -(xi_ev * xi_ev) / (2.0 * math.pi) / x**3
-    if failure is not None:
-        raise QuadratureError(failure, scale * g, abs(scale) * err)
-    return scale * g
+    return _quad(integrand, x, T_CUTOFF, cfg, rel_scale=0.1)
 
 
 def _outer_integral(a: float, material: PasteurMaterial, cfg: QuadratureConfig):
     """I(a) = int_0^inf dx x^3/(a^2+x^2) * int_1^inf dc' e^{-2xc'}(c'^2-1) r(c').
 
-    Returns (I, error_estimate).  The estimate combines the outer
-    QUADPACK estimate with the worst relative error reported by the
-    inner quadrature.
+    Returns (I, error_estimate, failure_message_or_None).  The estimate
+    combines the outer QUADPACK estimate with the worst relative error
+    reported by the inner quadrature; the message is the outer failure,
+    else the first inner one.
     """
-    worst_inner = [0.0]
-    inner_failures: list[str] = []
+    worst_inner = 0.0
+    inner_failure = None
 
     def f(x):
+        nonlocal worst_inner, inner_failure
         if x <= 0.0 or x >= T_CUTOFF:
             return 0.0
         g, gerr, failure = _g_kernel(x, material, cfg)
-        if failure is not None and len(inner_failures) < 3:
-            inner_failures.append(failure)
+        if inner_failure is None:
+            inner_failure = failure
         if g != 0.0:
-            worst_inner[0] = max(worst_inner[0], abs(gerr / g))
+            worst_inner = max(worst_inner, abs(gerr / g))
         return g / (a * a + x * x)
 
-    outer_failure = None
     pts = sorted({p for p in (a, 3 * a, 10 * a, 30 * a, 100 * a, 300 * a)
                   if 0.0 < p < T_CUTOFF})
-    try:
-        val, err = _quad_checked(f, 0.0, T_CUTOFF, cfg, points=pts)
-    except QuadratureError as exc:
-        val, err, outer_failure = exc.value, exc.error_estimate, str(exc)
-
-    estimate = err + abs(val) * worst_inner[0]
-    if outer_failure is not None or inner_failures:
-        message = outer_failure if outer_failure is not None \
-            else f"inner quadrature: {inner_failures[0]}"
-        raise QuadratureError(message, val, estimate)
-    return val, estimate
+    val, err, failure = _quad(f, 0.0, T_CUTOFF, cfg, points=pts)
+    if failure is None and inner_failure is not None:
+        failure = f"inner quadrature: {inner_failure}"
+    return val, err + abs(val) * worst_inner, failure
 
 
 def energy_unit_mev(molecule: MoleculeSpectrum) -> float:
@@ -333,7 +275,8 @@ def _transition_weights(molecule: MoleculeSpectrum):
 
 def _shift_scaled(z: float, molecule: MoleculeSpectrum, material: PasteurMaterial,
                   cfg: QuadratureConfig):
-    """Shift and error estimate in units of the first transition's energy scale."""
+    """Shift, error estimate and first failure message (or None), in units of
+    the first transition's energy scale."""
     if not z > 0.0:
         raise ValueError(f"z must be positive, got {z}")
     total = 0.0
@@ -343,16 +286,12 @@ def _shift_scaled(z: float, molecule: MoleculeSpectrum, material: PasteurMateria
         if weight == 0.0:
             continue
         a = z * gap_ratio
-        try:
-            val, err = _outer_integral(a, material, cfg)
-        except QuadratureError as exc:
-            failure = exc
-            val, err = exc.value, exc.error_estimate
+        val, err, message = _outer_integral(a, material, cfg)
+        if failure is None:
+            failure = message
         total += weight * val / (a * a)
         total_err += abs(weight) * err / (a * a)
-    if failure is not None:
-        raise QuadratureError(str(failure), total, total_err)
-    return total, total_err
+    return total, total_err, failure
 
 
 def chiral_shift_halfspace(z: float, molecule: MoleculeSpectrum,
@@ -381,7 +320,9 @@ def chiral_shift_halfspace(z: float, molecule: MoleculeSpectrum,
     QuadratureError
         On non-convergence; carries the partial scaled value.
     """
-    val, _ = _shift_scaled(z, molecule, material, cfg)
+    val, err, failure = _shift_scaled(z, molecule, material, cfg)
+    if failure is not None:
+        raise QuadratureError(failure, val, err)
     return val
 
 
@@ -416,12 +357,7 @@ def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
     e_mev = energy_unit_mev(molecule)
     results = []
     for z in z_grid:
-        warning = None
-        try:
-            val, err = _shift_scaled(z, molecule, material, cfg)
-        except QuadratureError as exc:
-            val, err = exc.value, exc.error_estimate
-            warning = str(exc)
+        val, err, warning = _shift_scaled(z, molecule, material, cfg)
         nr = chiral_shift_nonretarded(z, molecule, material)
         results.append(HalfspaceResult(
             z_over_zunit=z,

@@ -3,7 +3,7 @@
 All constants are CODATA 2018 recommended values (SI defining constants
 where exact).  The library computes internally in natural units with
 hbar = c = 1: energies in eV, lengths in 1/eV.  Public interfaces speak
-eV, meV, nm and K; conversions happen here.
+eV, meV, nm and K; the conversion factors live here.
 """
 
 from __future__ import annotations
@@ -31,46 +31,3 @@ ATOMIC_MASS_EV = 9.3149410242e8     # eV, energy equivalent of 1 u
 BOLTZMANN_EV = BOLTZMANN_J / E_CHARGE       # eV/K
 HBARC_EV_NM = HBAR * C_LIGHT / E_CHARGE * 1e9   # eV nm; 1 eV^-1 of length = HBARC_EV_NM nm
 BOHR_RADIUS_NM = BOHR_RADIUS * 1e9
-
-
-class UnitError(ValueError):
-    """Raised when a conversion is requested between incompatible units."""
-
-
-# unit name -> (dimension, scale to the dimension's base unit)
-# bases: energy -> eV, length -> nm, temperature -> K
-_UNIT_TABLE = {
-    "eV": ("energy", 1.0),
-    "meV": ("energy", 1e-3),
-    "J": ("energy", 1.0 / E_CHARGE),
-    "nm": ("length", 1.0),
-    "m": ("length", 1e9),
-    "1/eV": ("length", HBARC_EV_NM),
-    "K": ("temperature", 1.0),
-}
-
-
-def convert(value: float, from_unit: str, to_unit: str) -> float:
-    """Convert ``value`` between units of the same dimension.
-
-    Supported units: eV, meV, J (energy); nm, m, 1/eV (length, where
-    "1/eV" is the natural length hbar*c/E); K (temperature).
-
-    Raises
-    ------
-    UnitError
-        If a unit name is unknown or the dimensions differ.
-    """
-    try:
-        dim_from, scale_from = _UNIT_TABLE[from_unit]
-    except KeyError:
-        raise UnitError(f"unknown unit {from_unit!r}; known: {sorted(_UNIT_TABLE)}") from None
-    try:
-        dim_to, scale_to = _UNIT_TABLE[to_unit]
-    except KeyError:
-        raise UnitError(f"unknown unit {to_unit!r}; known: {sorted(_UNIT_TABLE)}") from None
-    if dim_from != dim_to:
-        raise UnitError(
-            f"cannot convert {from_unit!r} ({dim_from}) to {to_unit!r} ({dim_to})"
-        )
-    return value * scale_from / scale_to

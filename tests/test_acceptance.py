@@ -6,7 +6,7 @@ failure); the same checks back the CLI ``verify`` command.
 
 import pytest
 
-from chiral_vacuum import acceptance
+from chiral_vacuum import QuadratureConfig, acceptance
 
 
 @pytest.fixture(scope="module")
@@ -29,3 +29,11 @@ def test_criterion(results, index, name):
     print(f"{'PASS' if r.passed else 'FAIL'}  {r.index}. {r.name}: {r.detail}")
     assert r.name == name
     assert r.passed, r.detail
+
+
+def test_quadrature_failure_fails_the_criterion_without_raising(monkeypatch):
+    failing = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-30, max_subdivisions=10)
+    monkeypatch.setattr(acceptance, "DEFAULT_QUADRATURE", failing)
+    r = acceptance.criterion_5_nonretarded_agreement()
+    assert not r.passed
+    assert "quadrature failed" in r.detail

@@ -204,3 +204,55 @@ def test_verify_json_stdout_is_valid_json(monkeypatch, capsys):
     code, out, _ = run_cli(["verify", "--output.format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["rows"] == [[1, 1]]
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["selectivity", "--thermal.temperatures", "nan"], "thermal.temperatures"),
+    (["selectivity", "--sweep.delta_e_mev", "nan,1"], "sweep.delta_e_mev"),
+    (["cavity", "--thermal.temperature_k", "nan"], "thermal.temperature_k"),
+    (["cavity", "--cavity.chirality_factor", "nan"], "cavity.chirality_factor"),
+    (["cavity", "--molecule.im_rot_strength", "inf"], "molecule.im_rot_strength"),
+    (["pasteur", "--material.kappa", "nan", "--sweep.z_list", "0.5"], "material.kappa"),
+    (["tst", "--profile.curvature_b_ev3", "nan"], "profile.curvature_b_ev3"),
+    (["debye", "--ensemble.d00", "nan,0,0"], "ensemble.d00"),
+])
+def test_non_finite_input_exits_2_naming_the_key(argv, key, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert key in err
+    assert out == ""
+
+
+def test_non_finite_result_exits_1_without_output(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    code, out, err = run_cli(
+        ["debye", "--ensemble.d00", "1e200,0,0", "--ensemble.m00", "0,1e200,0",
+         "--sweep.n_list", "1", "--output.format", "json",
+         "--output.path", str(path)], capsys)
+    assert code == 1
+    assert "per_molecule_T0_meV" in err
+    assert len(err.strip().splitlines()) == 1
+    assert out == ""
+    assert not path.exists()
+
+
+def test_none_cells_are_not_non_finite():
+    out = cli.SweepOutput("cavity", [], (cli.Column("ratio", "dimensionless"),),
+                          [(None,), (1.5,)], [("resonant_modes", 1)])
+    assert cli._non_finite_field(out) is None
+    out.rows.append((math.inf,))
+    assert cli._non_finite_field(out) == "ratio"
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["selectivity", "--sweep.delta_e_mev", "0:1e-300:1"], "sweep.delta_e_mev"),
+    (["selectivity", "--sweep.delta_e_mev", "0:1e-320:1e300"], "sweep.delta_e_mev"),
+    (["selectivity", "--sweep.delta_e_mev", "1e308:1:-1e308"], "sweep.delta_e_mev"),
+    (["cavity", "--cavity.modes", "0.1:1e-7:1.0"], "cavity.modes"),
+    (["pasteur", "--sweep.z_points", "100000000000"], "sweep.z_points"),
+])
+def test_oversized_grid_exits_2_naming_the_key(argv, key, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert key in err
+    assert out == ""

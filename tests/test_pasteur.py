@@ -15,14 +15,14 @@ from chiral_vacuum import (
     length_unit_nm,
     reflection_cross,
     reflection_limit,
-    trace_curl_green,
 )
-from chiral_vacuum.acceptance import oracle_trace_curl_simpson
 from chiral_vacuum.pasteur import _shift_scaled
 
 MOL = MoleculeSpectrum.two_level(2.0, 0.1)
 VACUUMLIKE = PasteurMaterial(1.0, 1.0, 0.4)
 CFG = QuadratureConfig()
+# too tight to converge at z = 1e-3
+FAILING = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-30, max_subdivisions=10)
 
 
 # ------------------------------------------------------------- material
@@ -110,32 +110,6 @@ def test_reflection_vectorized_matches_scalar():
         assert v == reflection_cross(float(c), VACUUMLIKE)
 
 
-# ------------------------------------------------------------ trace curl
-
-def test_trace_curl_zero_kappa_is_exactly_zero():
-    assert trace_curl_green(1.0, 1.0, PasteurMaterial(1.0, 1.0, 0.0)) == 0.0
-
-
-def test_trace_curl_odd_in_kappa():
-    plus = trace_curl_green(1.0, 1.0, VACUUMLIKE)
-    minus = trace_curl_green(1.0, 1.0, PasteurMaterial(1.0, 1.0, -0.4))
-    assert minus == -plus
-
-
-def test_trace_curl_matches_dense_simpson_oracle():
-    adaptive = trace_curl_green(1.0, 1.0, VACUUMLIKE)
-    dense = oracle_trace_curl_simpson(1.0, 1.0, VACUUMLIKE, n_panels=1_000_000)
-    assert adaptive == pytest.approx(dense, rel=1e-8)
-    assert adaptive == pytest.approx(0.0024554408439089416, rel=1e-10)  # frozen
-
-
-def test_trace_curl_domain_errors():
-    with pytest.raises(ValueError):
-        trace_curl_green(0.0, 1.0, VACUUMLIKE)
-    with pytest.raises(ValueError):
-        trace_curl_green(1.0, -1.0, VACUUMLIKE)
-
-
 # ------------------------------------------------------- nonretarded law
 
 def test_nonretarded_exact_cubic_scaling():
@@ -169,8 +143,9 @@ def test_shift_zero_kappa_within_abs_tol():
 
 
 def test_shift_odd_in_kappa():
-    plus, err_p = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.2), CFG)
-    minus, err_m = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, -0.2), CFG)
+    plus, err_p, fail_p = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.2), CFG)
+    minus, err_m, fail_m = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, -0.2), CFG)
+    assert fail_p is None and fail_m is None
     assert abs(plus + minus) <= 2.0 * (err_p + err_m)
 
 
@@ -270,12 +245,27 @@ def test_sweep_deterministic():
 
 
 def test_sweep_reports_per_point_failures_without_aborting():
-    bad = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-30, max_subdivisions=10)
-    res = halfspace_sweep([1e-3, 0.5], MOL, VACUUMLIKE, bad)
+    res = halfspace_sweep([1e-3, 0.5], MOL, VACUUMLIKE, FAILING)
     assert len(res) == 2
     assert any(r.warning is not None for r in res)
     for r in res:
         assert math.isfinite(r.shift_eunit)
+
+
+def test_point_failure_raises_with_partial_value():
+    with pytest.raises(QuadratureError) as err:
+        chiral_shift_halfspace(1e-3, MOL, VACUUMLIKE, FAILING)
+    assert math.isfinite(err.value.value)
+    assert math.isfinite(err.value.error_estimate)
+
+
+def test_sweep_warning_carries_the_point_failure_message():
+    with pytest.raises(QuadratureError) as err:
+        chiral_shift_halfspace(1e-3, MOL, VACUUMLIKE, FAILING)
+    (res,) = halfspace_sweep([1e-3], MOL, VACUUMLIKE, FAILING)
+    assert res.warning == str(err.value)
+    assert res.shift_eunit == err.value.value
+    assert res.error_eunit == err.value.error_estimate
 
 
 def test_sweep_rejects_empty_grid():
@@ -286,8 +276,9 @@ def test_sweep_rejects_empty_grid():
 def test_halving_tolerance_stays_within_estimate():
     tight = QuadratureConfig(rel_tol=CFG.rel_tol / 2.0)
     for z in (0.3, 1.0):
-        val, est = _shift_scaled(z, MOL, VACUUMLIKE, CFG)
-        val2, _ = _shift_scaled(z, MOL, VACUUMLIKE, tight)
+        val, est, failure = _shift_scaled(z, MOL, VACUUMLIKE, CFG)
+        val2, _, failure2 = _shift_scaled(z, MOL, VACUUMLIKE, tight)
+        assert failure is None and failure2 is None
         assert abs(val - val2) < est
 
 

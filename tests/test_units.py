@@ -3,7 +3,6 @@ import math
 import pytest
 import scipy.constants as sc
 
-from chiral_vacuum import UnitError, convert
 from chiral_vacuum import units
 
 
@@ -47,41 +46,6 @@ def test_internal_consistency_identities():
     assert ryd == pytest.approx(units.RYDBERG_EV, rel=1e-9)
     # eps0 mu0 c^2 = 1
     assert units.EPSILON_0 * units.MU_0 * units.C_LIGHT**2 == pytest.approx(1.0, rel=1e-9)
-
-
-def test_ev_to_joule_is_defining_value():
-    assert convert(1.0, "eV", "J") == pytest.approx(1.602176634e-19, rel=1e-15)
-
-
-def test_mev_prefix():
-    assert convert(1.0, "meV", "eV") == pytest.approx(1e-3, rel=1e-15)
-
-
-def test_natural_length():
-    # hbar c = 197.3269804... eV nm
-    assert convert(1.0, "1/eV", "nm") == pytest.approx(197.327, rel=1e-5)
-
-
-@pytest.mark.parametrize("value,a,b", [
-    (3.7, "eV", "J"),
-    (0.123, "eV", "meV"),
-    (42.0, "nm", "1/eV"),
-    (1.5e-7, "m", "nm"),
-])
-def test_round_trip_identity(value, a, b):
-    assert convert(convert(value, a, b), b, a) == pytest.approx(value, rel=1e-12)
-
-
-def test_incompatible_dimensions_rejected():
-    with pytest.raises(UnitError):
-        convert(1.0, "eV", "nm")
-    with pytest.raises(UnitError):
-        convert(1.0, "K", "J")
-
-
-def test_unknown_unit_rejected():
-    with pytest.raises(UnitError):
-        convert(1.0, "furlong", "nm")
 
 
 def test_boltzmann_constant_in_ev():
