@@ -58,7 +58,13 @@ def _parse_optional_float_list(s: str) -> Optional[list[float]]:
 
 
 def _parse_int_list(s: str) -> list[int]:
-    return [int(p.strip()) for p in s.split(",") if p.strip()]
+    counts = [int(p.strip()) for p in s.split(",") if p.strip()]
+    for n in counts:
+        try:
+            float(n)  # the physics multiplies floats by these counts
+        except OverflowError:
+            raise ValueError("count is too large to convert to a float") from None
+    return counts
 
 
 def _parse_vec3(s: str) -> tuple[float, float, float]:

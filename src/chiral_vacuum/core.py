@@ -17,18 +17,21 @@ class Transition:
     Parameters
     ----------
     gap_ev : float
-        Transition energy in eV, strictly positive.
+        Transition energy in eV, strictly positive and finite.
     im_rot_strength : float
         Imaginary part of the rotatory strength in units of e*a0*mu_B
-        (signed).
+        (signed, finite).
     """
 
     gap_ev: float
     im_rot_strength: float
 
     def __post_init__(self):
-        if not self.gap_ev > 0.0:
-            raise ValueError(f"transition gap must be positive, got {self.gap_ev}")
+        if not 0.0 < self.gap_ev < math.inf:
+            raise ValueError(f"transition gap must be positive and finite, got {self.gap_ev}")
+        if not math.isfinite(self.im_rot_strength):
+            raise ValueError(
+                f"rotatory strength must be finite, got {self.im_rot_strength}")
 
 
 @dataclass(frozen=True)
@@ -69,14 +72,14 @@ class Thermal:
     temperature_k: float
 
     def __post_init__(self):
-        if not self.temperature_k >= 0.0:
-            raise ValueError(f"temperature must be >= 0 K, got {self.temperature_k}")
+        if not 0.0 <= self.temperature_k < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0 K, got {self.temperature_k}")
 
     @classmethod
     def from_kbt_ev(cls, kbt_ev: float) -> "Thermal":
         """Build from the thermal energy k_B*T given in eV."""
-        if not kbt_ev >= 0.0:
-            raise ValueError("k_B*T must be >= 0")
+        if not 0.0 <= kbt_ev < math.inf:
+            raise ValueError(f"k_B*T must be finite and >= 0, got {kbt_ev}")
         return cls(kbt_ev / BOLTZMANN_EV)
 
     @property

@@ -63,7 +63,7 @@ def to_json(out: SweepOutput) -> str:
         "columns": [{"name": c.name, "unit": c.unit} for c in out.columns],
         "rows": [list(row) for row in out.rows],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def render(out: SweepOutput, fmt: str) -> str:

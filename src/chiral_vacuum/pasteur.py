@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import MoleculeSpectrum
 from .units import E_CHARGE, HBAR, C_LIGHT, MU_0, BOHR_RADIUS, BOHR_MAGNETON, HBARC_EV_NM
@@ -53,7 +52,7 @@ class PasteurMaterial:
     """Half-space bi-isotropic medium with parity-breaking parameter kappa.
 
     The relative parameter kappa_r = kappa / sqrt(eps_r * mu_r) must lie
-    in [-1, 1].
+    in [-1, 1].  eps_r and mu_r must be positive and finite.
     """
 
     eps_r: float = 1.0
@@ -61,14 +60,23 @@ class PasteurMaterial:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if not self.eps_r > 0.0:
-            raise ValueError(f"eps_r must be positive, got {self.eps_r}")
-        if not self.mu_r > 0.0:
-            raise ValueError(f"mu_r must be positive, got {self.mu_r}")
-        if not abs(self.kappa_r) <= 1.0:
+        if not 0.0 < self.eps_r < math.inf:
+            raise ValueError(f"eps_r must be positive and finite, got {self.eps_r}")
+        if not 0.0 < self.mu_r < math.inf:
+            raise ValueError(f"mu_r must be positive and finite, got {self.mu_r}")
+        kr = self.kappa_r
+        if not abs(kr) <= 1.0:
             raise ValueError(
-                f"relative Pasteur parameter {self.kappa_r} outside [-1, 1]"
+                f"relative Pasteur parameter {kr} outside [-1, 1]"
             )
+        # The per-material constants of reflection_cross, which QUADPACK
+        # calls once per node.  Not a dataclass field, so repr, ==, hash
+        # and replace() see only the three parameters.
+        eta = self.impedance_ratio
+        object.__setattr__(self, "_reflection", (
+            kr, self.eps_r * self.mu_r, (1.0 + kr) ** 2, (1.0 - kr) ** 2,
+            2.0 * eta, 1.0 + eta * eta,
+        ))
 
     @property
     def kappa_r(self) -> float:
@@ -152,19 +160,18 @@ def reflection_cross(c_prime, material: PasteurMaterial):
             raise ValueError("c_prime must be >= 1")
     elif c_prime < 1.0:
         raise ValueError(f"c_prime must be >= 1, got {c_prime}")
-    kr = material.kappa_r
+    kr, eps_mu, plus_sq, minus_sq, two_eta, one_eta_sq = material._reflection
     if kr == 0.0:
         return np.zeros_like(c_prime) if is_array else 0.0
     sqrt = np.sqrt if is_array else math.sqrt
-    eta = material.impedance_ratio
-    t = (c_prime * c_prime - 1.0) / (material.eps_r * material.mu_r)
+    t = (c_prime * c_prime - 1.0) / eps_mu
     if kr == 1.0 or kr == -1.0:
         c_finite = sqrt(1.0 + t / 4.0)
-        return -kr * 2.0 * eta * c_prime / ((1.0 + eta * eta) * c_prime + 2.0 * eta * c_finite)
-    cp = sqrt(1.0 + t / (1.0 + kr) ** 2)
-    cm = sqrt(1.0 + t / (1.0 - kr) ** 2)
-    num = 2.0 * eta * c_prime * (cp - cm)
-    den = (1.0 + eta * eta) * c_prime * (cp + cm) + 2.0 * eta * (c_prime * c_prime + cp * cm)
+        return -kr * two_eta * c_prime / (one_eta_sq * c_prime + two_eta * c_finite)
+    cp = sqrt(1.0 + t / plus_sq)
+    cm = sqrt(1.0 + t / minus_sq)
+    num = two_eta * c_prime * (cp - cm)
+    den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_prime * c_prime + cp * cm)
     return num / den
 
 
@@ -186,7 +193,12 @@ def reflection_limit(material: PasteurMaterial) -> float:
 def _quad(func, lo, hi, cfg: QuadratureConfig, rel_scale=1.0, points=None):
     """QUADPACK on [lo, hi] as (value, error_estimate, failure_message_or_None).
 
-    rel_scale < 1 tightens the tolerance (used for the inner integral)."""
+    rel_scale < 1 tightens the tolerance (used for the inner integral).
+    scipy is imported here, not at module level, so that importing the
+    package and every command without a half-space quadrature stay
+    free of its import cost."""
+    from scipy.integrate import quad
+
     out = quad(func, lo, hi, epsabs=cfg.abs_tol * rel_scale, epsrel=cfg.rel_tol * rel_scale,
                limit=cfg.max_subdivisions, points=points or None, full_output=1)
     return out[0], out[1], (str(out[3]) if len(out) > 3 else None)

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import chiral_vacuum
 from chiral_vacuum import QuadratureConfig, acceptance, cli
 from chiral_vacuum.cli import main
+from chiral_vacuum.output import to_json
 
 
 def run_cli(args, capsys):
@@ -215,6 +221,7 @@ def test_verify_json_stdout_is_valid_json(monkeypatch, capsys):
     (["pasteur", "--material.kappa", "nan", "--sweep.z_list", "0.5"], "material.kappa"),
     (["tst", "--profile.curvature_b_ev3", "nan"], "profile.curvature_b_ev3"),
     (["debye", "--ensemble.d00", "nan,0,0"], "ensemble.d00"),
+    (["debye", "--sweep.n_list", "1" + "0" * 320], "sweep.n_list"),
 ])
 def test_non_finite_input_exits_2_naming_the_key(argv, key, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -242,6 +249,36 @@ def test_none_cells_are_not_non_finite():
     assert cli._non_finite_field(out) is None
     out.rows.append((math.inf,))
     assert cli._non_finite_field(out) == "ratio"
+
+
+def test_json_rejects_nan_cells_and_renders_none_as_null():
+    out = cli.SweepOutput("cavity", [], (cli.Column("ratio", "dimensionless"),),
+                          [(None,), (1.5,)])
+    assert json.loads(to_json(out))["rows"] == [[None], [1.5]]
+    out.rows.append((math.nan,))
+    with pytest.raises(ValueError):
+        to_json(out)
+
+
+def test_commands_without_quadrature_do_not_import_scipy():
+    # scipy.integrate costs about 0.4 s of import; only a half-space
+    # quadrature (pasteur, verify) may load it.
+    code = textwrap.dedent("""
+        import sys
+        import chiral_vacuum, chiral_vacuum.cli
+        assert chiral_vacuum.cli.main(["selectivity", "--output.path", sys.argv[1]]) == 0
+        assert "scipy.integrate" not in sys.modules, "loaded by selectivity"
+        assert chiral_vacuum.cli.main(["pasteur", "--material.kappa", "0.4",
+                                       "--sweep.z_list", "0.5",
+                                       "--output.path", sys.argv[1]]) == 0
+        assert "scipy.integrate" in sys.modules
+    """)
+    src_dir = os.path.dirname(os.path.dirname(chiral_vacuum.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src_dir, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv,key", [

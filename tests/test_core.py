@@ -17,10 +17,10 @@ from chiral_vacuum.acceptance import oracle_mc_isotropic_average
 # ---------------------------------------------------------------- types
 
 def test_transition_rejects_nonpositive_gap():
-    with pytest.raises(ValueError):
-        Transition(0.0, 0.1)
-    with pytest.raises(ValueError):
-        Transition(-1.0, 0.1)
+    for gap, strength in [(0.0, 0.1), (-1.0, 0.1), (math.inf, 0.1), (math.nan, 0.1),
+                          (2.0, math.inf), (2.0, -math.inf), (2.0, math.nan)]:
+        with pytest.raises(ValueError):
+            Transition(gap, strength)
 
 
 def test_molecule_needs_transitions():
@@ -37,8 +37,11 @@ def test_mirror_negates_strengths_and_is_involution():
 
 
 def test_thermal_rejects_negative_temperature():
-    with pytest.raises(ValueError):
-        Thermal(-1.0)
+    for value in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Thermal(value)
+        with pytest.raises(ValueError):
+            Thermal.from_kbt_ev(value)
 
 
 def test_thermal_from_kbt():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,12 +29,17 @@ FAILING = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-30, max_subdivisions=10)
 # ------------------------------------------------------------- material
 
 def test_material_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        PasteurMaterial(-1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        PasteurMaterial(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        PasteurMaterial(1.0, 1.0, 1.5)  # kappa_r out of [-1, 1]
+    for params in [
+        (-1.0, 1.0, 0.0),
+        (1.0, 0.0, 0.0),
+        (1.0, 1.0, 1.5),  # kappa_r out of [-1, 1]
+        (math.inf, 1.0, 0.0),
+        (1.0, math.inf, 0.5),
+        (math.nan, 1.0, 0.0),
+        (1.0, 1.0, math.inf),
+    ]:
+        with pytest.raises(ValueError):
+            PasteurMaterial(*params)
 
 
 def test_kappa_r_uses_index():
@@ -101,6 +107,62 @@ def test_reflection_rejects_cprime_below_one():
         reflection_cross(0.99, VACUUMLIKE)
     with pytest.raises(ValueError):
         reflection_cross(np.array([1.5, 0.5]), VACUUMLIKE)
+
+
+def _reflection_cross_per_call(c_prime, material):
+    """Reference: r(c') with every material constant recomputed per call."""
+    kr = material.kappa_r
+    if kr == 0.0:
+        return np.zeros_like(c_prime) if isinstance(c_prime, np.ndarray) else 0.0
+    sqrt = np.sqrt if isinstance(c_prime, np.ndarray) else math.sqrt
+    eta = material.impedance_ratio
+    t = (c_prime * c_prime - 1.0) / (material.eps_r * material.mu_r)
+    if kr == 1.0 or kr == -1.0:
+        c_finite = sqrt(1.0 + t / 4.0)
+        return -kr * 2.0 * eta * c_prime / ((1.0 + eta * eta) * c_prime + 2.0 * eta * c_finite)
+    cp = sqrt(1.0 + t / (1.0 + kr) ** 2)
+    cm = sqrt(1.0 + t / (1.0 - kr) ** 2)
+    num = 2.0 * eta * c_prime * (cp - cm)
+    den = (1.0 + eta * eta) * c_prime * (cp + cm) + 2.0 * eta * (c_prime * c_prime + cp * cm)
+    return num / den
+
+
+BIT_IDENTITY_MATERIALS = [
+    PasteurMaterial(1.0, 1.0, 0.0),
+    PasteurMaterial(2.25, 1.1, 0.0),
+    PasteurMaterial(1.0, 1.0, 1.0),
+    PasteurMaterial(1.0, 1.0, -1.0),
+    PasteurMaterial(2.0, 3.0, math.sqrt(6.0)),  # kappa_r = 1, eps*mu = 6
+    PasteurMaterial(2.0, 3.0, -math.sqrt(6.0)),
+    PasteurMaterial(1.0, 1.0, 0.5),
+    PasteurMaterial(1.0, 1.0, -0.5),
+    PasteurMaterial(4.0, 1.0, 1.0),  # kappa_r = 0.5, eps*mu = 4
+    PasteurMaterial(4.0, 1.0, -1.0),
+    PasteurMaterial(2.25, 1.1, 0.7),
+    PasteurMaterial(0.3, 7.0, -1.2),
+]
+
+
+@pytest.mark.parametrize("mat", BIT_IDENTITY_MATERIALS, ids=repr)
+def test_reflection_is_bit_identical_to_per_call_formula(mat):
+    grid = np.concatenate([[1.0, 1.0 + 1e-12, 1.3, 2.0, 7.0, 100.0, 1e8],
+                           np.geomspace(1.0, 1e6, 97)])
+    assert np.array_equal(reflection_cross(grid, mat), _reflection_cross_per_call(grid, mat))
+    for c in grid:
+        assert reflection_cross(float(c), mat) == _reflection_cross_per_call(float(c), mat)
+
+
+def test_material_constants_stay_out_of_the_dataclass_surface():
+    mat = PasteurMaterial(2.25, 1.1, 0.5)
+    assert [f.name for f in dataclasses.fields(mat)] == ["eps_r", "mu_r", "kappa"]
+    assert repr(mat) == "PasteurMaterial(eps_r=2.25, mu_r=1.1, kappa=0.5)"
+    assert mat == PasteurMaterial(2.25, 1.1, 0.5)
+    assert mat != PasteurMaterial(2.25, 1.1, -0.5)
+    assert hash(mat) == hash((2.25, 1.1, 0.5))
+    mirrored = dataclasses.replace(mat, kappa=-0.5)
+    assert mirrored == PasteurMaterial(2.25, 1.1, -0.5)
+    assert reflection_cross(2.0, mirrored) == _reflection_cross_per_call(2.0, mirrored)
+    assert reflection_cross(2.0, mirrored) == -reflection_cross(2.0, mat)
 
 
 def test_reflection_vectorized_matches_scalar():
