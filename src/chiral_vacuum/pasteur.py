@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.integrate import quad
 
 from .core import MoleculeSpectrum
 from .units import E_CHARGE, HBAR, C_LIGHT, MU_0, BOHR_RADIUS, BOHR_MAGNETON, HBARC_EV_NM
@@ -193,12 +194,7 @@ def reflection_limit(material: PasteurMaterial) -> float:
 def _quad(func, lo, hi, cfg: QuadratureConfig, rel_scale=1.0, points=None):
     """QUADPACK on [lo, hi] as (value, error_estimate, failure_message_or_None).
 
-    rel_scale < 1 tightens the tolerance (used for the inner integral).
-    scipy is imported here, not at module level, so that importing the
-    package and every command without a half-space quadrature stay
-    free of its import cost."""
-    from scipy.integrate import quad
-
+    rel_scale < 1 tightens the tolerance (used for the inner integral)."""
     out = quad(func, lo, hi, epsabs=cfg.abs_tol * rel_scale, epsrel=cfg.rel_tol * rel_scale,
                limit=cfg.max_subdivisions, points=points or None, full_output=1)
     return out[0], out[1], (str(out[3]) if len(out) > 3 else None)

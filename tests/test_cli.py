@@ -1,13 +1,8 @@
 import json
 import math
-import os
-import subprocess
-import sys
-import textwrap
 
 import pytest
 
-import chiral_vacuum
 from chiral_vacuum import QuadratureConfig, acceptance, cli
 from chiral_vacuum.cli import main
 from chiral_vacuum.output import to_json
@@ -258,27 +253,6 @@ def test_json_rejects_nan_cells_and_renders_none_as_null():
     out.rows.append((math.nan,))
     with pytest.raises(ValueError):
         to_json(out)
-
-
-def test_commands_without_quadrature_do_not_import_scipy():
-    # scipy.integrate costs about 0.4 s of import; only a half-space
-    # quadrature (pasteur, verify) may load it.
-    code = textwrap.dedent("""
-        import sys
-        import chiral_vacuum, chiral_vacuum.cli
-        assert chiral_vacuum.cli.main(["selectivity", "--output.path", sys.argv[1]]) == 0
-        assert "scipy.integrate" not in sys.modules, "loaded by selectivity"
-        assert chiral_vacuum.cli.main(["pasteur", "--material.kappa", "0.4",
-                                       "--sweep.z_list", "0.5",
-                                       "--output.path", sys.argv[1]]) == 0
-        assert "scipy.integrate" in sys.modules
-    """)
-    src_dir = os.path.dirname(os.path.dirname(chiral_vacuum.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src_dir, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv,key", [
