@@ -292,6 +292,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     bad = _non_finite_field(out)
     if bad is not None:
         print(f"error: non-finite result in {bad!r}", file=sys.stderr)

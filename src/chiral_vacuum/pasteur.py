@@ -24,6 +24,7 @@ in :class:`HalfspaceResult`.
 from __future__ import annotations
 
 import math
+from math import exp as _exp, sqrt as _sqrt
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,7 +54,8 @@ class PasteurMaterial:
     """Half-space bi-isotropic medium with parity-breaking parameter kappa.
 
     The relative parameter kappa_r = kappa / sqrt(eps_r * mu_r) must lie
-    in [-1, 1].  eps_r and mu_r must be positive and finite.
+    in [-1, 1].  eps_r, mu_r and their product must be positive and
+    finite.
     """
 
     eps_r: float = 1.0
@@ -65,6 +67,10 @@ class PasteurMaterial:
             raise ValueError(f"eps_r must be positive and finite, got {self.eps_r}")
         if not 0.0 < self.mu_r < math.inf:
             raise ValueError(f"mu_r must be positive and finite, got {self.mu_r}")
+        if not 0.0 < self.eps_r * self.mu_r < math.inf:
+            raise ValueError(
+                f"eps_r * mu_r must be positive and finite, got {self.eps_r * self.mu_r}"
+            )
         kr = self.kappa_r
         if not abs(kr) <= 1.0:
             raise ValueError(
@@ -155,24 +161,28 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     -------
     float or ndarray
     """
-    is_array = isinstance(c_prime, np.ndarray)
-    if is_array:
+    kr, eps_mu, plus_sq, minus_sq, two_eta, one_eta_sq = material._reflection
+    if isinstance(c_prime, np.ndarray):
         if np.any(c_prime < 1.0):
             raise ValueError("c_prime must be >= 1")
-    elif c_prime < 1.0:
-        raise ValueError(f"c_prime must be >= 1, got {c_prime}")
-    kr, eps_mu, plus_sq, minus_sq, two_eta, one_eta_sq = material._reflection
-    if kr == 0.0:
-        return np.zeros_like(c_prime) if is_array else 0.0
-    sqrt = np.sqrt if is_array else math.sqrt
-    t = (c_prime * c_prime - 1.0) / eps_mu
+        if kr == 0.0:
+            return np.zeros_like(c_prime)
+        sqrt = np.sqrt
+    else:
+        if c_prime < 1.0:
+            raise ValueError(f"c_prime must be >= 1, got {c_prime}")
+        if kr == 0.0:
+            return 0.0
+        sqrt = _sqrt
+    c_sq = c_prime * c_prime
+    t = (c_sq - 1.0) / eps_mu
     if kr == 1.0 or kr == -1.0:
         c_finite = sqrt(1.0 + t / 4.0)
         return -kr * two_eta * c_prime / (one_eta_sq * c_prime + two_eta * c_finite)
     cp = sqrt(1.0 + t / plus_sq)
     cm = sqrt(1.0 + t / minus_sq)
     num = two_eta * c_prime * (cp - cm)
-    den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_prime * c_prime + cp * cm)
+    den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
     return num / den
 
 
@@ -212,33 +222,46 @@ def _g_kernel(x: float, material: PasteurMaterial, cfg: QuadratureConfig):
     if x >= T_CUTOFF:
         return 0.0, 0.0, None
 
+    x_sq = x * x
+
     def integrand(t):
-        return math.exp(-2.0 * t) * (t * t - x * x) * reflection_cross(t / x, material)
+        # reflection_cross is looked up by its module name on every node,
+        # so that a wrapper installed there sees each one.
+        return _exp(-2.0 * t) * (t * t - x_sq) * reflection_cross(t / x, material)
 
     return _quad(integrand, x, T_CUTOFF, cfg, rel_scale=0.1)
 
 
-def _outer_integral(a: float, material: PasteurMaterial, cfg: QuadratureConfig):
+def _outer_integral(a: float, material: PasteurMaterial, cfg: QuadratureConfig,
+                    kernel: dict):
     """I(a) = int_0^inf dx x^3/(a^2+x^2) * int_1^inf dc' e^{-2xc'}(c'^2-1) r(c').
 
     Returns (I, error_estimate, failure_message_or_None).  The estimate
     combines the outer QUADPACK estimate with the worst relative error
     reported by the inner quadrature; the message is the outer failure,
     else the first inner one.
+
+    ``kernel`` maps x to its :func:`_g_kernel` triple for this material
+    and cfg; an x already there is not integrated again.  The triple
+    depends on x alone, so reuse changes no bit of the result.
     """
     worst_inner = 0.0
     inner_failure = None
+    a_sq = a * a
 
     def f(x):
         nonlocal worst_inner, inner_failure
         if x <= 0.0 or x >= T_CUTOFF:
             return 0.0
-        g, gerr, failure = _g_kernel(x, material, cfg)
+        triple = kernel.get(x)
+        if triple is None:
+            triple = kernel[x] = _g_kernel(x, material, cfg)
+        g, gerr, failure = triple
         if inner_failure is None:
             inner_failure = failure
         if g != 0.0:
             worst_inner = max(worst_inner, abs(gerr / g))
-        return g / (a * a + x * x)
+        return g / (a_sq + x * x)
 
     pts = sorted({p for p in (a, 3 * a, 10 * a, 30 * a, 100 * a, 300 * a)
                   if 0.0 < p < T_CUTOFF})
@@ -282,9 +305,14 @@ def _transition_weights(molecule: MoleculeSpectrum):
 
 
 def _shift_scaled(z: float, molecule: MoleculeSpectrum, material: PasteurMaterial,
-                  cfg: QuadratureConfig):
+                  cfg: QuadratureConfig, kernel: dict):
     """Shift, error estimate and first failure message (or None), in units of
-    the first transition's energy scale."""
+    the first transition's energy scale.
+
+    ``kernel`` is the x -> g(x) dict of :func:`_outer_integral`, shared by
+    every transition here and by every point the caller passes it to; it
+    holds for one (material, cfg) pair only.
+    """
     if not z > 0.0:
         raise ValueError(f"z must be positive, got {z}")
     total = 0.0
@@ -294,7 +322,7 @@ def _shift_scaled(z: float, molecule: MoleculeSpectrum, material: PasteurMateria
         if weight == 0.0:
             continue
         a = z * gap_ratio
-        val, err, message = _outer_integral(a, material, cfg)
+        val, err, message = _outer_integral(a, material, cfg, kernel)
         if failure is None:
             failure = message
         total += weight * val / (a * a)
@@ -328,7 +356,7 @@ def chiral_shift_halfspace(z: float, molecule: MoleculeSpectrum,
     QuadratureError
         On non-convergence; carries the partial scaled value.
     """
-    val, err, failure = _shift_scaled(z, molecule, material, cfg)
+    val, err, failure = _shift_scaled(z, molecule, material, cfg, {})
     if failure is not None:
         raise QuadratureError(failure, val, err)
     return val
@@ -359,13 +387,18 @@ def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
 
     Per-point quadrature failures are reported in the ``warning`` field of
     the corresponding result instead of aborting the sweep.
+
+    All points and transitions share one x -> g(x) dict that lives for
+    this call only, so the inner integral runs once per distinct outer
+    node of the sweep; each result is bit-identical to its point alone.
     """
     if len(z_grid) == 0:
         raise ValueError("z grid must not be empty")
     e_mev = energy_unit_mev(molecule)
+    kernel = {}
     results = []
     for z in z_grid:
-        val, err, warning = _shift_scaled(z, molecule, material, cfg)
+        val, err, warning = _shift_scaled(z, molecule, material, cfg, kernel)
         nr = chiral_shift_nonretarded(z, molecule, material)
         results.append(HalfspaceResult(
             z_over_zunit=z,

@@ -267,3 +267,25 @@ def test_oversized_grid_exits_2_naming_the_key(argv, key, capsys):
     assert code == 2
     assert key in err
     assert out == ""
+
+
+def test_underflowing_material_product_exits_2(capsys):
+    code, out, err = run_cli(
+        ["pasteur", "--material.eps_r", "1e-200", "--material.mu_r", "1e-200"], capsys)
+    assert code == 2
+    assert "eps_r * mu_r" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["pasteur", "--molecule.gap_ev", "1e200", "--sweep.z_list", "0.5"],
+    ["tst", "--profile.omega_nu_ev", "1e200"],
+])
+def test_arithmetic_error_exits_1_with_one_line_and_no_output(argv, tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(argv + ["--output.path", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error: OverflowError")
+    assert len(err.strip().splitlines()) == 1
+    assert out == ""
+    assert not path.exists()

@@ -3,6 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from chiral_vacuum import pasteur
 
 from chiral_vacuum import (
     MoleculeSpectrum,
@@ -37,6 +41,8 @@ def test_material_rejects_bad_parameters():
         (1.0, math.inf, 0.5),
         (math.nan, 1.0, 0.0),
         (1.0, 1.0, math.inf),
+        (1e-200, 1e-200, 0.0),  # eps_r * mu_r underflows to 0
+        (1e200, 1e200, 0.0),  # eps_r * mu_r overflows to inf
     ]:
         with pytest.raises(ValueError):
             PasteurMaterial(*params)
@@ -165,11 +171,18 @@ def test_material_constants_stay_out_of_the_dataclass_surface():
     assert reflection_cross(2.0, mirrored) == -reflection_cross(2.0, mat)
 
 
-def test_reflection_vectorized_matches_scalar():
-    grid = np.array([1.0, 1.5, 3.0, 10.0])
-    vec = reflection_cross(grid, VACUUMLIKE)
-    for c, v in zip(grid, vec):
-        assert v == reflection_cross(float(c), VACUUMLIKE)
+@settings(max_examples=200, deadline=None)
+@given(eps=st.floats(0.1, 10.0), mu=st.floats(0.1, 10.0), kappa_r=st.floats(-1.0, 1.0),
+       c_prime=st.floats(1.0, 1e6))
+@example(eps=1.0, mu=1.0, kappa_r=0.4, c_prime=1.5)
+@example(eps=0.1, mu=10.0, kappa_r=1.0, c_prime=1.0)
+@example(eps=10.0, mu=0.1, kappa_r=-1.0, c_prime=1e6)
+@example(eps=2.0, mu=3.0, kappa_r=0.0, c_prime=3.0)
+def test_reflection_vectorized_matches_scalar(eps, mu, kappa_r, c_prime):
+    # kappa_r * n / n never rounds past |kappa_r|, and is exact at +-1
+    mat = PasteurMaterial(eps, mu, kappa_r * math.sqrt(eps * mu))
+    (vec,) = reflection_cross(np.array([c_prime]), mat)
+    assert vec == reflection_cross(c_prime, mat)
 
 
 # ------------------------------------------------------- nonretarded law
@@ -205,8 +218,8 @@ def test_shift_zero_kappa_within_abs_tol():
 
 
 def test_shift_odd_in_kappa():
-    plus, err_p, fail_p = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.2), CFG)
-    minus, err_m, fail_m = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, -0.2), CFG)
+    plus, err_p, fail_p = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.2), CFG, {})
+    minus, err_m, fail_m = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, -0.2), CFG, {})
     assert fail_p is None and fail_m is None
     assert abs(plus + minus) <= 2.0 * (err_p + err_m)
 
@@ -300,6 +313,43 @@ def test_sweep_unit_fields_self_consistent():
         assert r.error_eunit >= 0.0
 
 
+SHARED_MOL = MoleculeSpectrum.from_lists([2.0, 3.1], [0.1, -0.04])
+SHARED_MAT = PasteurMaterial(2.0, 1.5, 0.6)
+SHARED_GRID = [float(z) for z in np.geomspace(1e-3, 1e2, 11)]
+
+
+@pytest.fixture(scope="module")
+def shared_kernel_runs():
+    """The sweep and its points run one by one, each with a fresh kernel
+    dict, with every x passed to _g_kernel recorded."""
+    calls = []
+    g_kernel = pasteur._g_kernel
+
+    def counted(x, material, cfg):
+        calls.append(x)
+        return g_kernel(x, material, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pasteur, "_g_kernel", counted)
+        sweep = halfspace_sweep(SHARED_GRID, SHARED_MOL, SHARED_MAT, CFG)
+        sweep_calls = list(calls)
+        calls.clear()
+        points = [_shift_scaled(z, SHARED_MOL, SHARED_MAT, CFG, {}) for z in SHARED_GRID]
+    return sweep, sweep_calls, points, calls
+
+
+def test_sweep_sharing_the_kernel_equals_independent_points(shared_kernel_runs):
+    sweep, _, points, _ = shared_kernel_runs
+    assert [(r.shift_eunit, r.error_eunit, r.warning) for r in sweep] == points
+
+
+def test_sweep_integrates_each_kernel_node_once(shared_kernel_runs):
+    _, sweep_calls, _, point_calls = shared_kernel_runs
+    assert len(sweep_calls) == len(set(sweep_calls))
+    assert set(sweep_calls) == set(point_calls)
+    assert len(sweep_calls) < len(point_calls)
+
+
 def test_sweep_deterministic():
     a = halfspace_sweep([0.4, 0.8], MOL, VACUUMLIKE, CFG)
     b = halfspace_sweep([0.4, 0.8], MOL, VACUUMLIKE, CFG)
@@ -338,8 +388,8 @@ def test_sweep_rejects_empty_grid():
 def test_halving_tolerance_stays_within_estimate():
     tight = QuadratureConfig(rel_tol=CFG.rel_tol / 2.0)
     for z in (0.3, 1.0):
-        val, est, failure = _shift_scaled(z, MOL, VACUUMLIKE, CFG)
-        val2, _, failure2 = _shift_scaled(z, MOL, VACUUMLIKE, tight)
+        val, est, failure = _shift_scaled(z, MOL, VACUUMLIKE, CFG, {})
+        val2, _, failure2 = _shift_scaled(z, MOL, VACUUMLIKE, tight, {})
         assert failure is None and failure2 is None
         assert abs(val - val2) < est
 
