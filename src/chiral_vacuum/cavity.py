@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import MoleculeSpectrum, Thermal, Transition, bose_occupation
-from .units import BOHR_RADIUS_NM, E_CHARGE, EPSILON_0, FINE_STRUCTURE, RYDBERG_EV
+from .units import BOHR_RADIUS_NM, FINE_STRUCTURE, RYDBERG_EV
 
 
 class OutOfRegimeError(ValueError):
@@ -55,12 +55,6 @@ class CavityMode:
             raise ValueError(
                 f"chirality factor must lie in [-1/2, 1/2], got {self.chirality_factor}"
             )
-
-    @property
-    def g_squared(self) -> float:
-        """Squared vacuum coupling 1/(2 eps0 Omega V_eff) as the zero-point
-        field intensity (V/m)^2; strictly positive and finite."""
-        return E_CHARGE * self.omega_ev / (2.0 * EPSILON_0 * self.veff_nm3 * 1e-27)
 
 
 @dataclass(frozen=True)
@@ -197,43 +191,32 @@ class ModeReport:
     london_thermal_ratio: Optional[float]
     london_ev: float
     resonant: bool
-    debye_t0_ev: Optional[float] = None
-    debye_thermal_ratio: Optional[float] = None
-    debye_ev: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class CavityShiftReport:
-    """Per-mode and total shifts with thermal corrections applied."""
+    """Per-mode and total London shifts with thermal corrections applied."""
 
-    temperature_k: float
     per_mode: tuple[ModeReport, ...]
     london_total_t0_ev: float
     london_total_ev: float
-    debye_per_molecule_t0_ev: Optional[float] = None
-    debye_per_molecule_ev: Optional[float] = None
-    debye_total_ev: Optional[float] = None
 
     @property
     def resonant_count(self) -> int:
         return sum(1 for m in self.per_mode if m.resonant)
 
 
-def cavity_shift_report(modes: CavityModeSet, molecule: MoleculeSpectrum,
-                        ensemble: Optional[PolarizedEnsemble] = None,
+def cavity_shift_report(modes: CavityModeSet, molecule: MoleculeSpectrum, *,
                         thermal: Thermal = Thermal(0.0)) -> CavityShiftReport:
-    """Assemble per-mode London (and optionally Debye) shifts with thermal ratios.
+    """Assemble per-mode London shifts with thermal ratios.
 
     Thermal corrections are applied per mode multiplicatively, per
-    transition for the London term.  Modes resonant with any transition
-    (Omega >= E_i0) are flagged and contribute their zero-temperature
-    value uncorrected rather than aborting the report.  At T = 0 the
-    totals equal :func:`london_shift` and :func:`debye_shift_per_molecule`
-    exactly.
+    transition.  Modes resonant with any transition (Omega >= E_i0) are
+    flagged and contribute their zero-temperature value uncorrected
+    rather than aborting the report.  At T = 0 the totals equal
+    :func:`london_shift` exactly.
     """
     entries = []
-    debye_bases_t0 = []
-    debye_bases = []
     for mode in modes.modes:
         t0_terms = [(t, _london_single(mode, t)) for t in molecule.transitions]
         london_t0 = math.fsum(term for _, term in t0_terms)
@@ -247,17 +230,6 @@ def cavity_shift_report(modes: CavityModeSet, molecule: MoleculeSpectrum,
                 for t, term in t0_terms
             )
             ratio = london / london_t0 if london_t0 != 0.0 else 1.0
-
-        if ensemble is not None:
-            base_t0 = _debye_mode_base(mode, ensemble)
-            debye_ratio = thermal_ratio_debye(mode.omega_ev, thermal)
-            debye_bases_t0.append(base_t0)
-            debye_bases.append(base_t0 * debye_ratio)
-            debye_t0 = base_t0 * ensemble.n_molecules
-            debye = base_t0 * debye_ratio * ensemble.n_molecules
-        else:
-            debye_t0 = debye_ratio = debye = None
-
         entries.append(ModeReport(
             omega_ev=mode.omega_ev,
             veff_nm3=mode.veff_nm3,
@@ -266,26 +238,10 @@ def cavity_shift_report(modes: CavityModeSet, molecule: MoleculeSpectrum,
             london_thermal_ratio=ratio,
             london_ev=london,
             resonant=resonant,
-            debye_t0_ev=debye_t0,
-            debye_thermal_ratio=debye_ratio,
-            debye_ev=debye,
         ))
 
-    london_total_t0 = math.fsum(e.london_t0_ev for e in entries)
-    london_total = math.fsum(e.london_ev for e in entries)
-    if ensemble is not None:
-        debye_pm_t0 = math.fsum(debye_bases_t0) * ensemble.n_molecules
-        debye_pm = math.fsum(debye_bases) * ensemble.n_molecules
-        debye_total = debye_pm * ensemble.n_molecules
-    else:
-        debye_pm_t0 = debye_pm = debye_total = None
-
     return CavityShiftReport(
-        temperature_k=thermal.temperature_k,
         per_mode=tuple(entries),
-        london_total_t0_ev=london_total_t0,
-        london_total_ev=london_total,
-        debye_per_molecule_t0_ev=debye_pm_t0,
-        debye_per_molecule_ev=debye_pm,
-        debye_total_ev=debye_total,
+        london_total_t0_ev=math.fsum(e.london_t0_ev for e in entries),
+        london_total_ev=math.fsum(e.london_ev for e in entries),
     )

@@ -122,7 +122,7 @@ def _run_cavity(config: RunConfig) -> tuple[SweepOutput, int]:
         modes = _build_modes(config)
         thermal = Thermal(config["thermal.temperature_k"])
 
-    report = cavity_shift_report(modes, molecule, None, thermal)
+    report = cavity_shift_report(modes, molecule, thermal=thermal)
     columns = (
         Column("mode_index", "dimensionless"),
         Column("omega_eV", "eV"),

@@ -38,14 +38,6 @@ def _parse_float(s: str) -> float:
     return value
 
 
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
-def _parse_str(s: str) -> str:
-    return s
-
-
 def _parse_float_list(s: str) -> list[float]:
     items = [p.strip() for p in s.split(",") if p.strip()]
     if not items:
@@ -142,14 +134,14 @@ REGISTRY: dict[str, ParamSpec] = {
                               "permanent electric dipole in e*a0"),
     "ensemble.m00": ParamSpec(_parse_vec3, "0,1,0",
                               "permanent magnetic dipole in mu_B"),
-    "ensemble.n_molecules": ParamSpec(_parse_int, "100", "molecules in the ensemble"),
+    "ensemble.n_molecules": ParamSpec(int, "100", "molecules in the ensemble"),
     "thermal.temperature_k": ParamSpec(_parse_float, "300", "temperature in K"),
     "thermal.temperatures": ParamSpec(_parse_float_list, "200,300,400",
                                       "temperature list in K for sweeps"),
     "sweep.z_min": ParamSpec(_parse_float, "0.1", "sweep start, multiples of z_unit"),
     "sweep.z_max": ParamSpec(_parse_float, "2.0", "sweep end, multiples of z_unit"),
-    "sweep.z_points": ParamSpec(_parse_int, "50", "number of sweep points"),
-    "sweep.z_scale": ParamSpec(_parse_str, "linear", "z spacing: linear or log"),
+    "sweep.z_points": ParamSpec(int, "50", "number of sweep points"),
+    "sweep.z_scale": ParamSpec(str, "linear", "z spacing: linear or log"),
     "sweep.z_list": ParamSpec(_parse_optional_float_list, "",
                               "explicit z list (overrides min/max)"),
     "sweep.delta_e_mev": ParamSpec(_parse_grid, "-100:5:100",
@@ -162,8 +154,8 @@ REGISTRY: dict[str, ParamSpec] = {
     "profile.curvature_b_ev3": ParamSpec(_parse_float, "0.0",
                                          "curvature perturbation b in eV^3"),
     "profile.mass_amu": ParamSpec(_parse_float, "12.0", "effective mass in amu"),
-    "output.path": ParamSpec(_parse_str, "-", "output file, - for stdout"),
-    "output.format": ParamSpec(_parse_str, "csv", "output format: csv or json"),
+    "output.path": ParamSpec(str, "-", "output file, - for stdout"),
+    "output.format": ParamSpec(str, "csv", "output format: csv or json"),
 }
 
 _OUTPUT_KEYS = ("output.path", "output.format")

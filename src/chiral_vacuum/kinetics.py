@@ -58,11 +58,6 @@ class ReactionProfile:
             raise ValueError(f"mass must be positive, got {self.mass_amu}")
         if not self.omega_nu_ev**2 + self.curvature_b_ev3 / self.mass_ev > 0.0:
             raise ValueError("curvature perturbation destroys the reactant well")
-        if self.barrier_ev - 0.5 * self.omega_nu_ev < 0.0:
-            warnings.warn(
-                "zero-point energy exceeds the barrier; activation energy is negative",
-                stacklevel=2,
-            )
 
     @property
     def mass_ev(self) -> float:

@@ -54,8 +54,8 @@ class PasteurMaterial:
     """Half-space bi-isotropic medium with parity-breaking parameter kappa.
 
     The relative parameter kappa_r = kappa / sqrt(eps_r * mu_r) must lie
-    in [-1, 1].  eps_r, mu_r and their product must be positive and
-    finite.
+    in [-1, 1].  eps_r, mu_r, their product and mu_r / eps_r must be
+    positive and finite.
     """
 
     eps_r: float = 1.0
@@ -70,6 +70,10 @@ class PasteurMaterial:
         if not 0.0 < self.eps_r * self.mu_r < math.inf:
             raise ValueError(
                 f"eps_r * mu_r must be positive and finite, got {self.eps_r * self.mu_r}"
+            )
+        if not 0.0 < self.mu_r / self.eps_r < math.inf:
+            raise ValueError(
+                f"mu_r / eps_r must be positive and finite, got {self.mu_r / self.eps_r}"
             )
         kr = self.kappa_r
         if not abs(kr) <= 1.0:

@@ -12,10 +12,8 @@ import math
 
 # --- SI defining constants (exact) ---
 E_CHARGE = 1.602176634e-19          # C
-PLANCK_H = 6.62607015e-34           # J s
-HBAR = PLANCK_H / (2.0 * math.pi)   # J s
+HBAR = 6.62607015e-34 / (2.0 * math.pi)   # J s, from h
 C_LIGHT = 299792458.0               # m/s
-BOLTZMANN_J = 1.380649e-23          # J/K
 
 # --- CODATA 2018 measured values ---
 BOHR_RADIUS = 5.29177210903e-11     # m
@@ -24,10 +22,9 @@ FINE_STRUCTURE = 7.2973525693e-3
 RYDBERG_EV = 13.605693122994        # eV
 EPSILON_0 = 8.8541878128e-12        # F/m
 MU_0 = 1.25663706212e-6             # N/A^2
-ELECTRON_MASS = 9.1093837015e-31    # kg
 ATOMIC_MASS_EV = 9.3149410242e8     # eV, energy equivalent of 1 u
 
 # --- derived ---
-BOLTZMANN_EV = BOLTZMANN_J / E_CHARGE       # eV/K
+BOLTZMANN_EV = 1.380649e-23 / E_CHARGE      # eV/K, from k_B in J/K
 HBARC_EV_NM = HBAR * C_LIGHT / E_CHARGE * 1e9   # eV nm; 1 eV^-1 of length = HBARC_EV_NM nm
 BOHR_RADIUS_NM = BOHR_RADIUS * 1e9

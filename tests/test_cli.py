@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from chiral_vacuum import QuadratureConfig, acceptance, cli
+from chiral_vacuum import QuadratureConfig, Thermal, acceptance, bose_occupation, cli
 from chiral_vacuum.cli import main
 from chiral_vacuum.output import to_json
 
@@ -156,6 +156,24 @@ def test_debye_scales_with_n(capsys):
     assert tot10 == pytest.approx(100.0 * tot1, rel=1e-12)  # N^2 overall
 
 
+def test_debye_thermal_enhancement_bounded_at_400_k(capsys):
+    code, out, _ = run_cli(["debye", "--thermal.temperature_k", "400"], capsys)
+    assert code == 0
+    rows = [[float(v) for v in r.split(",")] for r in data_rows(out)]
+    assert len(rows) == 3
+    for row in rows:
+        assert 1.0 <= row[2] / row[1] <= 1.115  # per_molecule_meV / per_molecule_T0_meV
+
+
+def test_debye_single_mode_enhancement_is_bose_ratio(capsys):
+    code, out, _ = run_cli(
+        ["debye", "--cavity.modes", "0.1", "--thermal.temperature_k", "300"], capsys)
+    assert code == 0
+    note = next(l for l in header_lines(out) if "thermal_enhancement" in l)
+    expected = 1.0 + 2.0 * bose_occupation(0.1, Thermal(300.0))
+    assert float(note.split("=")[1]) == pytest.approx(expected, rel=1e-12)
+
+
 def test_tst_adds_activation_columns(capsys):
     code, out, _ = run_cli(
         ["tst", "--sweep.delta_e_mev", "53", "--thermal.temperatures", "300"],
@@ -270,11 +288,15 @@ def test_oversized_grid_exits_2_naming_the_key(argv, key, capsys):
 
 
 def test_underflowing_material_product_exits_2(capsys):
-    code, out, err = run_cli(
-        ["pasteur", "--material.eps_r", "1e-200", "--material.mu_r", "1e-200"], capsys)
-    assert code == 2
-    assert "eps_r * mu_r" in err
-    assert out == ""
+    for eps_r, mu_r, key in [("1e-200", "1e-200", "eps_r * mu_r"),
+                             ("1e-200", "1e200", "mu_r / eps_r"),  # overflows
+                             ("1e200", "1e-200", "mu_r / eps_r")]:  # underflows
+        code, out, err = run_cli(
+            ["pasteur", "--material.eps_r", eps_r, "--material.mu_r", mu_r,
+             "--material.kappa", "0.3", "--sweep.z_list", "0.5"], capsys)
+        assert code == 2
+        assert key in err
+        assert out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,11 +27,6 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         # perturbation deeper than the well curvature
         ReactionProfile(1.0, 0.1, curvature_b_ev3=-2e9, mass_amu=12.0)
-
-
-def test_profile_warns_when_zero_point_tops_barrier():
-    with pytest.warns(UserWarning):
-        ReactionProfile(0.04, 0.1)
 
 
 # ------------------------------------------------------------ selectivity
@@ -95,10 +91,12 @@ def test_activation_slope_in_omega():
 
 
 def test_activation_warns_when_negative():
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # building the profile does not warn
         profile = ReactionProfile(0.04, 0.1)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         e_a = tst_activation(profile)
+    assert len(record) == 1
     assert e_a == pytest.approx(0.04 - 0.05, rel=1e-12)
 
 

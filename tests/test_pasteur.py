@@ -43,6 +43,8 @@ def test_material_rejects_bad_parameters():
         (1.0, 1.0, math.inf),
         (1e-200, 1e-200, 0.0),  # eps_r * mu_r underflows to 0
         (1e200, 1e200, 0.0),  # eps_r * mu_r overflows to inf
+        (1e-200, 1e200, 0.3),  # mu_r / eps_r overflows to inf
+        (1e200, 1e-200, 0.3),  # mu_r / eps_r underflows to 0
     ]:
         with pytest.raises(ValueError):
             PasteurMaterial(*params)

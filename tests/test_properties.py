@@ -18,9 +18,13 @@ from chiral_vacuum import (
     Thermal,
     chiral_shift_nonretarded,
     debye_shift_per_molecule,
+    energy_unit_mev,
+    halfspace_sweep,
+    london_shift,
     reflection_cross,
     selectivity,
 )
+from chiral_vacuum.pasteur import _transition_weights
 
 FAST = settings(max_examples=100, deadline=None)
 
@@ -84,3 +88,67 @@ vectors = st.tuples(*[st.floats(-10.0, 10.0)] * 3)
 def test_debye_shift_is_exactly_linear_in_n(mode_set, d00, m00, n):
     one = debye_shift_per_molecule(mode_set, PolarizedEnsemble(d00, m00, 1))
     assert debye_shift_per_molecule(mode_set, PolarizedEnsemble(d00, m00, n)) == n * one
+
+
+# Rotatory strengths, chirality factors and kappa_r kept clear of the
+# subnormal range, where a sign flip is still exact but a scaling by
+# 2**k is not.
+def _normal(hi):
+    return st.floats(1e-3, hi) | st.floats(-hi, -1e-3)
+
+
+normal_molecules = st.lists(st.tuples(gaps, _normal(1.0)), min_size=1, max_size=3).map(
+    lambda ts: MoleculeSpectrum.from_lists([g for g, _ in ts], [s for _, s in ts]))
+normal_modes = st.builds(CavityMode, omega_ev=st.floats(0.01, 5.0), veff_nm3=st.floats(0.01, 100.0),
+                         chirality_factor=_normal(0.5) | st.just(0.0))
+normal_kappa_rs = _normal(1.0) | st.just(0.0)
+
+
+def _scaled(mol, k):
+    """``mol`` with every rotatory strength multiplied by 2**k."""
+    return MoleculeSpectrum.from_lists([t.gap_ev for t in mol.transitions],
+                                       [math.ldexp(t.im_rot_strength, k) for t in mol.transitions])
+
+
+@FAST
+@given(mode=normal_modes, mol=normal_molecules, k=st.integers(-4, 4))
+def test_london_shift_is_odd_under_mirror_and_linear_in_im_r(mode, mol, k):
+    # one mode per example: the sum over modes is an fsum of exact terms,
+    # and a list of modes would double the drawing time
+    mode_set = CavityModeSet((mode,))
+    shift = london_shift(mode_set, mol)
+    assert london_shift(mode_set, mol.mirror()) == -shift
+    assert london_shift(mode_set, _scaled(mol, k)) == math.ldexp(shift, k)
+
+
+@FAST
+@given(z=distances, mol=normal_molecules, eps=eps_mu, mu=eps_mu, kappa_r=normal_kappa_rs,
+       k=st.integers(-4, 4))
+def test_halfspace_scales_are_odd_under_mirror_and_linear_in_im_r(z, mol, eps, mu, kappa_r, k):
+    mat = _material(eps, mu, kappa_r)
+
+    def values(m):
+        # energy unit and non-retarded shift in meV; the weights carry no ImR scale
+        e_mev = energy_unit_mev(m)
+        return e_mev, chiral_shift_nonretarded(z, m, mat) * e_mev, _transition_weights(m)
+
+    e_mev, nonretarded_mev, weights = values(mol)
+    assert values(mol.mirror()) == (-e_mev, -nonretarded_mev, weights)
+    assert values(_scaled(mol, k)) == (math.ldexp(e_mev, k), math.ldexp(nonretarded_mev, k),
+                                       weights)
+
+
+def test_sweep_shift_mev_is_odd_under_mirror_and_linear_in_im_r():
+    # one fixed example: the full shift runs QUADPACK, too slow to draw many
+    mol = MoleculeSpectrum.from_lists([2.0, 3.5], [0.1, -0.04])
+    mat = PasteurMaterial(2.0, 1.5, 0.6)
+    z_grid = [0.3, 1.7]
+
+    def shifts(m):
+        return [r.shift_mev for r in halfspace_sweep(z_grid, m, mat)]
+
+    base = shifts(mol)
+    assert all(v != 0.0 for v in base)
+    assert shifts(mol.mirror()) == [-v for v in base]
+    for k in (-3, 2):
+        assert shifts(_scaled(mol, k)) == [math.ldexp(v, k) for v in base]
