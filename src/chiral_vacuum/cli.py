@@ -27,6 +27,7 @@ from .kinetics import ReactionProfile, selectivity_sweep, tst_activation, \
     zero_point_frequency_shift
 from .output import Column, SweepOutput, render
 from .pasteur import PasteurMaterial, energy_unit_mev, halfspace_sweep, length_unit_nm
+from .units import BOLTZMANN_EV
 
 
 def _echo(config: RunConfig) -> list:
@@ -191,7 +192,7 @@ def _run_debye(config: RunConfig) -> tuple[SweepOutput, int]:
 
 def _temperatures(config: RunConfig) -> list:
     temps = config["thermal.temperatures"]
-    if any(t_k <= 0 for t_k in temps):
+    if not all(BOLTZMANN_EV * t_k > 0.0 for t_k in temps):  # k_B*T may underflow to 0
         raise ConfigError("temperatures must be positive", key="thermal.temperatures")
     return temps
 

@@ -101,6 +101,8 @@ def _parse_modes_detailed(s: str) -> list[dict]:
         unknown = set(entry) - {"omega_ev", "veff_nm3", "chirality_factor"}
         if unknown:
             raise ValueError(f"unknown mode fields {sorted(unknown)}")
+        if not all(type(v) in (int, float) for v in entry.values()):
+            raise ValueError("mode fields must be JSON numbers")
         out.append({k: _parse_float(v) for k, v in entry.items()})
     return out
 
@@ -290,7 +292,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         param = REGISTRY[key]
         try:
             values[key] = param.parse(value_str)
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (ValueError, OverflowError, RecursionError) as exc:  # huge ints, deep JSON
             raise ConfigError(f"cannot parse value {value_str!r}: {exc}",
                               key=key, line=line)
         raw[key] = value_str

@@ -66,7 +66,8 @@ class Thermal:
     """Thermal state of the photonic environment.
 
     ``temperature_k = 0`` is the distinct zero-temperature limit in which
-    every Bose occupation vanishes.
+    every Bose occupation vanishes; a positive temperature must keep k_B*T
+    above 0 (a subnormal one underflows).
     """
 
     temperature_k: float
@@ -74,6 +75,8 @@ class Thermal:
     def __post_init__(self):
         if not 0.0 <= self.temperature_k < math.inf:
             raise ValueError(f"temperature must be finite and >= 0 K, got {self.temperature_k}")
+        if self.temperature_k > 0.0 and self.kbt_ev == 0.0:
+            raise ValueError(f"k_B*T underflows to 0 at {self.temperature_k} K")
 
     @classmethod
     def from_kbt_ev(cls, kbt_ev: float) -> "Thermal":

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import MoleculeSpectrum
 from .units import E_CHARGE, HBAR, C_LIGHT, MU_0, BOHR_RADIUS, BOHR_MAGNETON, HBARC_EV_NM
@@ -209,6 +208,7 @@ def _quad(func, lo, hi, cfg: QuadratureConfig, rel_scale=1.0, points=None):
     """QUADPACK on [lo, hi] as (value, error_estimate, failure_message_or_None).
 
     rel_scale < 1 tightens the tolerance (used for the inner integral)."""
+    from scipy.integrate import quad  # here, so only pasteur and verify load it
     out = quad(func, lo, hi, epsabs=cfg.abs_tol * rel_scale, epsrel=cfg.rel_tol * rel_scale,
                limit=cfg.max_subdivisions, points=points or None, full_output=1)
     return out[0], out[1], (str(out[3]) if len(out) > 3 else None)

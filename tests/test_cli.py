@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import chiral_vacuum
 from chiral_vacuum import QuadratureConfig, Thermal, acceptance, bose_occupation, cli
 from chiral_vacuum.cli import main
 from chiral_vacuum.output import to_json
@@ -243,6 +248,31 @@ def test_non_finite_input_exits_2_naming_the_key(argv, key, capsys):
     assert out == ""
 
 
+_MODE = '[{{"omega_ev": {}, "veff_nm3": 0.2, "chirality_factor": -0.5}}]'
+
+
+@pytest.mark.parametrize("value", ["null", "[1]", "true", '"2.0"', "1" + "0" * 400,
+                                   "[" * 5000 + "]" * 5000])
+def test_mode_field_that_is_not_a_finite_number_exits_2_naming_the_key(value, capsys):
+    code, out, err = run_cli(["cavity", "--cavity.modes_detailed", _MODE.format(value)], capsys)
+    assert code == 2
+    assert "cavity.modes_detailed" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["cavity", "--thermal.temperature_k", "1e-320"], None),
+    (["debye", "--thermal.temperature_k", "1e-320"], None),
+    (["selectivity", "--thermal.temperatures", "300,1e-320"], "thermal.temperatures"),
+    (["tst", "--thermal.temperatures", "1e-320"], "thermal.temperatures"),
+])
+def test_temperature_whose_kbt_underflows_exits_2(argv, key, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("config error:") and (key is None or key in err)
+    assert out == ""
+
+
 def test_non_finite_result_exits_1_without_output(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out, err = run_cli(
@@ -271,6 +301,28 @@ def test_json_rejects_nan_cells_and_renders_none_as_null():
     out.rows.append((math.nan,))
     with pytest.raises(ValueError):
         to_json(out)
+
+
+def test_commands_without_quadrature_do_not_import_scipy():
+    # scipy.integrate is most of the package's import time; only a
+    # half-space quadrature (pasteur, verify) may load it.
+    code = textwrap.dedent("""
+        import sys
+        import chiral_vacuum, chiral_vacuum.cli
+        for command in ("cavity", "debye", "selectivity", "tst"):
+            assert chiral_vacuum.cli.main([command, "--output.path", sys.argv[1]]) == 0
+            assert "scipy.integrate" not in sys.modules, "loaded by " + command
+        assert chiral_vacuum.cli.main(["pasteur", "--material.kappa", "0.4",
+                                       "--sweep.z_list", "0.5",
+                                       "--output.path", sys.argv[1]]) == 0
+        assert "scipy.integrate" in sys.modules
+    """)
+    src_dir = os.path.dirname(os.path.dirname(chiral_vacuum.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src_dir, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv,key", [

@@ -42,6 +42,9 @@ def test_thermal_rejects_negative_temperature():
             Thermal(value)
         with pytest.raises(ValueError):
             Thermal.from_kbt_ev(value)
+    for value in (1e-320, 5e-324):  # k_B*T underflows to 0
+        with pytest.raises(ValueError):
+            Thermal(value)
 
 
 def test_thermal_from_kbt():
