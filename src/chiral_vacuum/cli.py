@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -30,68 +32,48 @@ from .pasteur import PasteurMaterial, energy_unit_mev, halfspace_sweep, length_u
 from .units import BOLTZMANN_EV
 
 
-def _echo(config: RunConfig) -> list:
-    return sorted(config.raw.items())
-
-
-class _Builder:
-    """Wraps domain-object construction so invariant violations surface as
-    configuration errors (exit code 2) rather than runtime physics errors."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, ValueError) \
-                and not isinstance(exc, ConfigError):
-            raise ConfigError(str(exc)) from exc
-        return False
+def _build(make, config: RunConfig, *keys: str):
+    """``make`` called on the values of ``keys``; a domain ``ValueError``
+    becomes a ``ConfigError`` (exit 2) that names the keys."""
+    try:
+        return make(*(config[key] for key in keys))
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=keys) from exc
 
 
 def _build_molecule(config: RunConfig) -> MoleculeSpectrum:
-    return MoleculeSpectrum.from_lists(config["molecule.gap_ev"],
-                                       config["molecule.im_rot_strength"])
+    return _build(MoleculeSpectrum.from_lists, config,
+                  "molecule.gap_ev", "molecule.im_rot_strength")
 
 
 def _build_modes(config: RunConfig) -> CavityModeSet:
-    detailed = config["cavity.modes_detailed"]
-    if detailed:
-        modes = []
-        for entry in detailed:
-            missing = {"omega_ev", "veff_nm3", "chirality_factor"} - set(entry)
-            if missing:
-                raise ConfigError(f"mode entry is missing {sorted(missing)}",
-                                  key="cavity.modes_detailed")
-            modes.append(CavityMode(**entry))
-        return CavityModeSet(tuple(modes))
-    return CavityModeSet.uniform(config["cavity.modes"], config["cavity.veff_nm3"],
-                                 config["cavity.chirality_factor"])
+    if config["cavity.modes_detailed"]:
+        return _build(lambda entries: CavityModeSet(tuple(CavityMode(**e) for e in entries)),
+                      config, "cavity.modes_detailed")
+    return _build(CavityModeSet.uniform, config,
+                  "cavity.modes", "cavity.veff_nm3", "cavity.chirality_factor")
 
 
 def _z_grid(config: RunConfig) -> list:
     if config["sweep.z_list"] is not None:
+        if min(config["sweep.z_list"]) <= 0:
+            raise ConfigError("z grid must be positive", key="sweep.z_list")
         return config["sweep.z_list"]
     n = config["sweep.z_points"]
-    lo, hi = config["sweep.z_min"], config["sweep.z_max"]
     if not 1 <= n <= MAX_GRID_POINTS:
         raise ConfigError(f"z_points must lie in [1, {MAX_GRID_POINTS}]", key="sweep.z_points")
-    if config["sweep.z_scale"] == "log":
-        if lo <= 0:
-            raise ConfigError("log spacing needs z_min > 0", key="sweep.z_min")
-        return list(np.geomspace(lo, hi, n))
-    return list(np.linspace(lo, hi, n))
+    for key in ("sweep.z_min", "sweep.z_max"):
+        if config[key] <= 0:
+            raise ConfigError("z grid must be positive", key=key)
+    space = np.geomspace if config["sweep.z_scale"] == "log" else np.linspace
+    return list(space(config["sweep.z_min"], config["sweep.z_max"], n))
 
 
-def _run_pasteur(config: RunConfig) -> tuple[SweepOutput, int]:
-    with _Builder():
-        molecule = _build_molecule(config)
-        material = PasteurMaterial(config["material.eps_r"], config["material.mu_r"],
-                                   config["material.kappa"])
-        grid = _z_grid(config)
-        if any(z <= 0 for z in grid):
-            raise ConfigError("z grid must be positive", key="sweep.z_list")
-
-    results = halfspace_sweep(grid, molecule, material)
+def _run_pasteur(config: RunConfig) -> tuple[tuple, int]:
+    molecule = _build_molecule(config)
+    material = _build(PasteurMaterial, config,
+                      "material.eps_r", "material.mu_r", "material.kappa")
+    results = halfspace_sweep(_z_grid(config), molecule, material)
     any_failed = any(r.warning is not None for r in results)
     columns = [
         Column("z_over_zunit", "z_unit"),
@@ -113,16 +95,13 @@ def _run_pasteur(config: RunConfig) -> tuple[SweepOutput, int]:
         ("energy_unit_meV", energy_unit_mev(molecule)),
         ("length_unit_nm", length_unit_nm(molecule)),
     ]
-    out = SweepOutput("pasteur", _echo(config), tuple(columns), rows, notes)
-    return out, (1 if any_failed else 0)
+    return (columns, rows, notes), (1 if any_failed else 0)
 
 
-def _run_cavity(config: RunConfig) -> tuple[SweepOutput, int]:
-    with _Builder():
-        molecule = _build_molecule(config)
-        modes = _build_modes(config)
-        thermal = Thermal(config["thermal.temperature_k"])
-
+def _run_cavity(config: RunConfig) -> tuple[tuple, int]:
+    molecule = _build_molecule(config)
+    modes = _build_modes(config)
+    thermal = _build(Thermal, config, "thermal.temperature_k")
     report = cavity_shift_report(modes, molecule, thermal=thermal)
     columns = (
         Column("mode_index", "dimensionless"),
@@ -145,20 +124,15 @@ def _run_cavity(config: RunConfig) -> tuple[SweepOutput, int]:
         ("london_total_meV", report.london_total_ev * 1e3),
         ("resonant_modes", report.resonant_count),
     ]
-    return SweepOutput("cavity", _echo(config), columns, rows, notes), 0
+    return (columns, rows, notes), 0
 
 
-def _run_debye(config: RunConfig) -> tuple[SweepOutput, int]:
-    with _Builder():
-        modes = _build_modes(config)
-        ensemble_base = PolarizedEnsemble(config["ensemble.d00"],
-                                          config["ensemble.m00"], 1)
-        thermal = Thermal(config["thermal.temperature_k"])
-        n_list = config["sweep.n_list"]
-        if not n_list:
-            raise ConfigError("n_list must not be empty", key="sweep.n_list")
-        ensembles = [PolarizedEnsemble(config["ensemble.d00"],
-                                       config["ensemble.m00"], n) for n in n_list]
+def _run_debye(config: RunConfig) -> tuple[tuple, int]:
+    modes = _build_modes(config)
+    ensemble_base = PolarizedEnsemble(config["ensemble.d00"], config["ensemble.m00"], 1)
+    thermal = _build(Thermal, config, "thermal.temperature_k")
+    ensembles = _build(lambda n_list: [replace(ensemble_base, n_molecules=n) for n in n_list],
+                       config, "sweep.n_list")
 
     # per-mode thermal ratios; the T=0 per-mode term is frequency independent
     def corrected(ens: PolarizedEnsemble) -> float:
@@ -187,7 +161,7 @@ def _run_debye(config: RunConfig) -> tuple[SweepOutput, int]:
         ("temperature_K", thermal.temperature_k),
         ("thermal_enhancement", base_ratio),
     ]
-    return SweepOutput("debye", _echo(config), columns, rows, notes), 0
+    return (columns, rows, notes), 0
 
 
 def _temperatures(config: RunConfig) -> list:
@@ -197,27 +171,26 @@ def _temperatures(config: RunConfig) -> list:
     return temps
 
 
-def _run_selectivity(config: RunConfig) -> tuple[SweepOutput, int]:
+def _run_selectivity(config: RunConfig) -> tuple[tuple, int]:
     rows = selectivity_sweep(config["sweep.delta_e_mev"], _temperatures(config))
     columns = (
         Column("delta_e_meV", "meV"),
         Column("temperature_K", "K"),
         Column("p_chi", "dimensionless"),
     )
-    return SweepOutput("selectivity", _echo(config), columns, rows, []), 0
+    return (columns, rows, []), 0
 
 
-def _run_tst(config: RunConfig) -> tuple[SweepOutput, int]:
-    with _Builder():
-        profile = ReactionProfile(
-            barrier_ev=config["profile.barrier_ev"],
-            omega_nu_ev=config["profile.omega_nu_ev"],
-            curvature_b_ev3=config["profile.curvature_b_ev3"],
-            mass_amu=config["profile.mass_amu"],
-        )
-        temps = _temperatures(config)
+def _run_tst(config: RunConfig) -> tuple[tuple, int]:
+    profile = _build(ReactionProfile, config, "profile.barrier_ev", "profile.omega_nu_ev",
+                     "profile.curvature_b_ev3", "profile.mass_amu")
+    temps = _temperatures(config)
     grid = config["sweep.delta_e_mev"]
-    e_a = tst_activation(profile)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        e_a = tst_activation(profile)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     d_omega = zero_point_frequency_shift(profile)
     corrected = selectivity_sweep(grid, temps, profile)
     rows = [
@@ -232,10 +205,10 @@ def _run_tst(config: RunConfig) -> tuple[SweepOutput, int]:
         Column("delta_omega_eV", "eV"),
         Column("p_chi_tst", "dimensionless"),
     )
-    return SweepOutput("tst", _echo(config), columns, rows, []), 0
+    return (columns, rows, []), 0
 
 
-def _run_verify(config: RunConfig) -> tuple[SweepOutput, int]:
+def _run_verify(config: RunConfig) -> tuple[tuple, int]:
     results = acceptance.run_all()
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.index}. {r.name}: {r.detail}",
@@ -245,7 +218,7 @@ def _run_verify(config: RunConfig) -> tuple[SweepOutput, int]:
     notes = [(f"criterion_{r.index}", f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
              for r in results]
     code = 0 if all(r.passed for r in results) else 1
-    return SweepOutput("verify", _echo(config), columns, rows, notes), code
+    return (columns, rows, notes), code
 
 
 _RUNNERS = {
@@ -259,8 +232,14 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> tuple[SweepOutput, int]:
-    """Dispatch a resolved configuration to its command implementation."""
-    return _RUNNERS[config.command](config)
+    """Dispatch a resolved configuration to its command implementation.
+
+    A runner returns ``(columns, rows, notes), exit_code``; the output
+    carries the command name and the sorted config echo.
+    """
+    (columns, rows, notes), code = _RUNNERS[config.command](config)
+    return SweepOutput(config.command, sorted(config.raw.items()), tuple(columns),
+                       rows, notes), code
 
 
 def _non_finite_field(out: SweepOutput) -> Optional[str]:

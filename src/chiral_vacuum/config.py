@@ -16,11 +16,15 @@ from typing import Callable, Optional
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, key: Optional[str] = None,
+    """A rejected input, named by its key, or by the tuple of keys that a
+    value was built from, and by its config-file line if it has one."""
+
+    def __init__(self, message: str, key: str | tuple[str, ...] | None = None,
                  line: Optional[int] = None):
         loc = ""
         if key is not None:
-            loc += f" (key {key!r}"
+            keys = key if isinstance(key, tuple) else (key,)
+            loc += f" ({'key' if len(keys) == 1 else 'keys'} {', '.join(map(repr, keys))}"
             loc += f", line {line})" if line is not None else ")"
         super().__init__(message + loc)
         self.key = key
@@ -51,6 +55,8 @@ def _parse_optional_float_list(s: str) -> Optional[list[float]]:
 
 def _parse_int_list(s: str) -> list[int]:
     counts = [int(p.strip()) for p in s.split(",") if p.strip()]
+    if not counts:
+        raise ValueError("empty list")
     for n in counts:
         try:
             float(n)  # the physics multiplies floats by these counts
@@ -87,6 +93,9 @@ def _parse_grid(s: str) -> list[float]:
     return _parse_float_list(s)
 
 
+_MODE_FIELDS = {"omega_ev", "veff_nm3", "chirality_factor"}
+
+
 def _parse_modes_detailed(s: str) -> list[dict]:
     """JSON-style inline list of {omega_ev, veff_nm3, chirality_factor}."""
     if not s.strip():
@@ -98,9 +107,8 @@ def _parse_modes_detailed(s: str) -> list[dict]:
     for entry in data:
         if not isinstance(entry, dict):
             raise ValueError("modes_detailed entries must be objects")
-        unknown = set(entry) - {"omega_ev", "veff_nm3", "chirality_factor"}
-        if unknown:
-            raise ValueError(f"unknown mode fields {sorted(unknown)}")
+        if set(entry) != _MODE_FIELDS:
+            raise ValueError(f"mode fields must be {sorted(_MODE_FIELDS)}, got {sorted(entry)}")
         if not all(type(v) in (int, float) for v in entry.values()):
             raise ValueError("mode fields must be JSON numbers")
         out.append({k: _parse_float(v) for k, v in entry.items()})
@@ -259,14 +267,8 @@ def parse_config(argv: list[str]) -> RunConfig:
     if command not in COMMAND_KEYS:
         raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
 
-    tokens = list(argv[1:])
-    config_path = None
-    if "--config" in tokens:
-        idx = tokens.index("--config")
-        if idx + 1 >= len(tokens):
-            raise ConfigError("--config is missing its file path")
-        config_path = tokens[idx + 1]
-        del tokens[idx:idx + 2]
+    flags = _split_flags(argv[1:])
+    config_path, _ = flags.pop("config", (None, None))
 
     allowed = COMMAND_KEYS[command]
     resolved: dict[str, tuple[str, Optional[int]]] = {
@@ -284,7 +286,7 @@ def parse_config(argv: list[str]) -> RunConfig:
 
     if config_path is not None:
         apply(_read_config_file(config_path))
-    apply(_split_flags(tokens))
+    apply(flags)
 
     values: dict[str, object] = {}
     raw: dict[str, str] = {}

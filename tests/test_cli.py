@@ -261,16 +261,47 @@ def test_mode_field_that_is_not_a_finite_number_exits_2_naming_the_key(value, ca
 
 
 @pytest.mark.parametrize("argv,key", [
-    (["cavity", "--thermal.temperature_k", "1e-320"], None),
-    (["debye", "--thermal.temperature_k", "1e-320"], None),
+    (["cavity", "--thermal.temperature_k", "1e-320"], "thermal.temperature_k"),
+    (["debye", "--thermal.temperature_k", "1e-320"], "thermal.temperature_k"),
     (["selectivity", "--thermal.temperatures", "300,1e-320"], "thermal.temperatures"),
     (["tst", "--thermal.temperatures", "1e-320"], "thermal.temperatures"),
 ])
 def test_temperature_whose_kbt_underflows_exits_2(argv, key, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
-    assert err.startswith("config error:") and (key is None or key in err)
+    assert err.startswith("config error:") and key in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["cavity", "--thermal.temperature_k", "-1"], "thermal.temperature_k"),
+    (["tst", "--profile.barrier_ev", "-1"], "profile.barrier_ev"),
+    (["pasteur", "--material.kappa", "5"], "material.kappa"),
+    (["cavity", "--cavity.veff_nm3", "-1"], "cavity.veff_nm3"),
+    (["pasteur", "--molecule.gap_ev", "-2"], "molecule.gap_ev"),
+    (["debye", "--sweep.n_list", "0"], "sweep.n_list"),
+    (["cavity", "--cavity.chirality_factor", "0.6"], "cavity.chirality_factor"),
+    (["debye", "--sweep.n_list", ","], "sweep.n_list"),
+    (["cavity", "--cavity.modes_detailed", '[{"omega_ev": 0.1, "veff_nm3": 0.2}]'],
+     "cavity.modes_detailed"),
+    (["pasteur", "--sweep.z_min", "-1"], "sweep.z_min"),
+    (["pasteur", "--sweep.z_scale", "log", "--sweep.z_max", "-1"], "sweep.z_max"),
+])
+def test_rejected_value_exits_2_naming_its_key(argv, key, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and repr(key) in err
+    assert len(err.splitlines()) == 1
+
+
+def test_negative_activation_energy_warns_on_one_line(capsys):
+    code, out, err = run_cli(
+        ["tst", "--profile.barrier_ev", "0.01", "--profile.omega_nu_ev", "0.1",
+         "--sweep.delta_e_mev", "0", "--thermal.temperatures", "300"], capsys)
+    assert code == 0
+    assert err == "warning: negative activation energy -0.04 eV\n"
+    assert data_rows(out) == ["0.0,300.0,0.0,-0.04,0.0,0.0"]
 
 
 def test_non_finite_result_exits_1_without_output(tmp_path, capsys):

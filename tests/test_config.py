@@ -117,6 +117,18 @@ def test_modes_detailed_rejects_unknown_fields():
                       '[{"omega_ev": 0.1, "q_factor": 3}]'])
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["cavity", "--cavity.modes_detailed", '[{"omega_ev": 0.1, "veff_nm3": 0.2}]'],
+     "cavity.modes_detailed"),
+    (["debye", "--sweep.n_list", ","], "sweep.n_list"),
+    (["debye", "--sweep.n_list", ""], "sweep.n_list"),
+])
+def test_incomplete_value_names_the_key(argv, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(argv)
+    assert repr(key) in str(err.value)
+
+
 def test_mismatched_molecule_lists_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config(["cavity", "--molecule.gap_ev", "2.0,3.0"])
@@ -126,6 +138,17 @@ def test_mismatched_molecule_lists_rejected():
 def test_equals_form_flags():
     cfg = parse_config(["pasteur", "--material.kappa=0.25"])
     assert cfg["material.kappa"] == 0.25
+
+
+@pytest.mark.parametrize("joined", [False, True])
+def test_config_file_flag_takes_both_forms_and_the_last_wins(joined, tmp_path):
+    first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+    first.write_text("material.kappa = 0.1\n")
+    last.write_text("material.kappa = 0.3\n")
+    argv = ["pasteur"]
+    for path in (first, last):
+        argv += [f"--config={path}"] if joined else ["--config", str(path)]
+    assert parse_config(argv)["material.kappa"] == 0.3
 
 
 def test_bad_output_format_rejected():
