@@ -18,7 +18,6 @@ from .core import (
 from .pasteur import (
     HalfspaceResult,
     PasteurMaterial,
-    QuadratureConfig,
     QuadratureError,
     chiral_shift_halfspace,
     chiral_shift_nonretarded,
@@ -54,7 +53,7 @@ __all__ = [
     "__version__",
     "MoleculeSpectrum", "Thermal", "Transition",
     "bose_occupation", "isotropic_average", "random_rotations",
-    "HalfspaceResult", "PasteurMaterial", "QuadratureConfig", "QuadratureError",
+    "HalfspaceResult", "PasteurMaterial", "QuadratureError",
     "chiral_shift_halfspace", "chiral_shift_nonretarded", "energy_unit_mev",
     "halfspace_sweep", "length_unit_nm", "reflection_cross", "reflection_limit",
     "CavityMode", "CavityModeSet", "CavityShiftReport", "ModeReport",

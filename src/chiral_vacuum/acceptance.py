@@ -25,10 +25,10 @@ from .cavity import (
 from .core import MoleculeSpectrum, Thermal, isotropic_average, random_rotations
 from .kinetics import ReactionProfile, selectivity, selectivity_tst, zero_point_frequency_shift
 from .pasteur import (
-    DEFAULT_QUADRATURE,
+    ABS_TOL,
+    REL_TOL,
     T_CUTOFF as _T_CUTOFF,
     PasteurMaterial,
-    QuadratureConfig,
     _shift_scaled,
     chiral_shift_nonretarded,
     energy_unit_mev,
@@ -123,9 +123,9 @@ _ENSEMBLE = PolarizedEnsemble((0.2, 0.0, 0.0), (0.0, 1.0, 0.0), 1)
 _KBT_034 = Thermal.from_kbt_ev(0.034)
 
 
-def _shift(z, molecule, material, cfg, failures):
+def _shift(z, molecule, material, failures, rel_tol=REL_TOL):
     """Scaled shift and error estimate; a quadrature failure goes into ``failures``."""
-    val, err, failure = _shift_scaled(z, molecule, material, cfg, {})
+    val, err, failure = _shift_scaled(z, molecule, material, {}, rel_tol=rel_tol)
     if failure is not None:
         failures.append(f"quadrature failed at z={z}: {failure}")
     return val, err
@@ -173,7 +173,7 @@ def criterion_5_nonretarded_agreement() -> CriterionResult:
     failures = []
     material = PasteurMaterial(1.0, 1.0, 0.4)
     z = 1e-3
-    full, _ = _shift(z, _TWO_LEVEL, material, DEFAULT_QUADRATURE, failures)
+    full, _ = _shift(z, _TWO_LEVEL, material, failures)
     nr = chiral_shift_nonretarded(z, _TWO_LEVEL, material)
     rel = abs(full - nr) / abs(nr)
     passed = rel < 0.01 and not failures
@@ -187,20 +187,19 @@ def criterion_6_symmetry_suite() -> CriterionResult:
     flipped = PasteurMaterial(1.0, 1.0, -0.2)
     z = 0.5
 
-    plus, err_p = _shift(z, _TWO_LEVEL, material, DEFAULT_QUADRATURE, failures)
-    minus, err_m = _shift(z, _TWO_LEVEL, flipped, DEFAULT_QUADRATURE, failures)
+    plus, err_p = _shift(z, _TWO_LEVEL, material, failures)
+    minus, err_m = _shift(z, _TWO_LEVEL, flipped, failures)
     if abs(plus + minus) > 2.0 * (err_p + err_m):
         failures.append("shift not odd in kappa")
 
     e_unit = energy_unit_mev(_TWO_LEVEL)
     e_unit_m = energy_unit_mev(_TWO_LEVEL.mirror())
-    mirrored, _ = _shift(z, _TWO_LEVEL.mirror(), material, DEFAULT_QUADRATURE, failures)
+    mirrored, _ = _shift(z, _TWO_LEVEL.mirror(), material, failures)
     if abs(mirrored * e_unit_m + plus * e_unit) > 2.0 * (err_p + err_m) * abs(e_unit):
         failures.append("shift not odd in rotatory strength")
 
-    achiral, _ = _shift(z, _TWO_LEVEL, PasteurMaterial(1.0, 1.0, 0.0),
-                        DEFAULT_QUADRATURE, failures)
-    if not abs(achiral) < DEFAULT_QUADRATURE.abs_tol:
+    achiral, _ = _shift(z, _TWO_LEVEL, PasteurMaterial(1.0, 1.0, 0.0), failures)
+    if not abs(achiral) < ABS_TOL:
         failures.append("kappa = 0 does not vanish")
 
     nr1 = chiral_shift_nonretarded(0.37, _TWO_LEVEL, material)
@@ -251,10 +250,9 @@ def criterion_7_quadrature_robustness() -> CriterionResult:
     failures = []
     material = PasteurMaterial(1.0, 1.0, 0.4)
     z_points = [0.3, 0.5, 0.8, 1.2, 1.8]
-    tight = QuadratureConfig(rel_tol=DEFAULT_QUADRATURE.rel_tol / 2.0)
     for z in z_points:
-        val, est = _shift(z, _TWO_LEVEL, material, DEFAULT_QUADRATURE, failures)
-        val2, _ = _shift(z, _TWO_LEVEL, material, tight, failures)
+        val, est = _shift(z, _TWO_LEVEL, material, failures)
+        val2, _ = _shift(z, _TWO_LEVEL, material, failures, rel_tol=REL_TOL / 2.0)
         if abs(val - val2) >= est:
             failures.append(f"tolerance halving moved z={z} by {abs(val - val2):.2e} >= {est:.2e}")
 
@@ -263,7 +261,7 @@ def criterion_7_quadrature_robustness() -> CriterionResult:
     for z, kappa in samples:
         mat = PasteurMaterial(1.0, 1.0, kappa)
         dense = oracle_dense_halfspace_shift(z, mat)
-        adaptive, _ = _shift(z, _TWO_LEVEL, mat, DEFAULT_QUADRATURE, failures)
+        adaptive, _ = _shift(z, _TWO_LEVEL, mat, failures)
         rel = abs(dense - adaptive) / abs(dense)
         worst = max(worst, rel)
         if rel > 1e-6:

@@ -90,6 +90,9 @@ def _run_pasteur(config: RunConfig) -> tuple[tuple, int]:
                r.nonretarded_eunit, r.error_eunit]
         if any_failed:
             row.append(1 if r.warning else 0)
+        if r.warning is not None:
+            reason = r.warning.partition("\n")[0]
+            print(f"warning: z = {r.z_over_zunit}: {reason}", file=sys.stderr)
         rows.append(tuple(row))
     notes = [
         ("energy_unit_meV", energy_unit_mev(molecule)),

@@ -102,23 +102,11 @@ class PasteurMaterial:
 # integrals are truncated there.
 T_CUTOFF = -0.5 * math.log(1e-16)
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and limits for the adaptive double quadrature."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be >= 10")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# Tolerances and subdivision limit of the adaptive double quadrature; the
+# inner integral runs at a tenth of both tolerances.
+REL_TOL = 1e-8
+ABS_TOL = 1e-14
+MAX_SUBDIVISIONS = 200
 
 
 @dataclass(frozen=True)
@@ -204,17 +192,16 @@ def reflection_limit(material: PasteurMaterial) -> float:
     return num / den
 
 
-def _quad(func, lo, hi, cfg: QuadratureConfig, rel_scale=1.0, points=None):
-    """QUADPACK on [lo, hi] as (value, error_estimate, failure_message_or_None).
-
-    rel_scale < 1 tightens the tolerance (used for the inner integral)."""
+def _quad(func, lo, hi, rel_tol: float, abs_tol: float, points=None):
+    """QUADPACK on [lo, hi] as (value, error_estimate, failure_message_or_None),
+    with at most ``MAX_SUBDIVISIONS`` subintervals."""
     from scipy.integrate import quad  # here, so only pasteur and verify load it
-    out = quad(func, lo, hi, epsabs=cfg.abs_tol * rel_scale, epsrel=cfg.rel_tol * rel_scale,
-               limit=cfg.max_subdivisions, points=points or None, full_output=1)
+    out = quad(func, lo, hi, epsabs=abs_tol, epsrel=rel_tol,
+               limit=MAX_SUBDIVISIONS, points=points or None, full_output=1)
     return out[0], out[1], (str(out[3]) if len(out) > 3 else None)
 
 
-def _g_kernel(x: float, material: PasteurMaterial, cfg: QuadratureConfig):
+def _g_kernel(x: float, material: PasteurMaterial, rel_tol: float):
     """g(x) = int_x^T exp(-2t) (t^2 - x^2) r(t/x) dt, with t = x c'.
 
     Equals x^3 * int_1^inf dc' exp(-2 x c') (c'^2 - 1) r(c').  The t
@@ -233,11 +220,11 @@ def _g_kernel(x: float, material: PasteurMaterial, cfg: QuadratureConfig):
         # so that a wrapper installed there sees each one.
         return _exp(-2.0 * t) * (t * t - x_sq) * reflection_cross(t / x, material)
 
-    return _quad(integrand, x, T_CUTOFF, cfg, rel_scale=0.1)
+    return _quad(integrand, x, T_CUTOFF, rel_tol * 0.1, ABS_TOL * 0.1)
 
 
-def _outer_integral(a: float, material: PasteurMaterial, cfg: QuadratureConfig,
-                    kernel: dict):
+def _outer_integral(a: float, material: PasteurMaterial, kernel: dict,
+                    rel_tol: float):
     """I(a) = int_0^inf dx x^3/(a^2+x^2) * int_1^inf dc' e^{-2xc'}(c'^2-1) r(c').
 
     Returns (I, error_estimate, failure_message_or_None).  The estimate
@@ -246,7 +233,7 @@ def _outer_integral(a: float, material: PasteurMaterial, cfg: QuadratureConfig,
     else the first inner one.
 
     ``kernel`` maps x to its :func:`_g_kernel` triple for this material
-    and cfg; an x already there is not integrated again.  The triple
+    and rel_tol; an x already there is not integrated again.  The triple
     depends on x alone, so reuse changes no bit of the result.
     """
     worst_inner = 0.0
@@ -259,7 +246,7 @@ def _outer_integral(a: float, material: PasteurMaterial, cfg: QuadratureConfig,
             return 0.0
         triple = kernel.get(x)
         if triple is None:
-            triple = kernel[x] = _g_kernel(x, material, cfg)
+            triple = kernel[x] = _g_kernel(x, material, rel_tol)
         g, gerr, failure = triple
         if inner_failure is None:
             inner_failure = failure
@@ -269,7 +256,7 @@ def _outer_integral(a: float, material: PasteurMaterial, cfg: QuadratureConfig,
 
     pts = sorted({p for p in (a, 3 * a, 10 * a, 30 * a, 100 * a, 300 * a)
                   if 0.0 < p < T_CUTOFF})
-    val, err, failure = _quad(f, 0.0, T_CUTOFF, cfg, points=pts)
+    val, err, failure = _quad(f, 0.0, T_CUTOFF, rel_tol, ABS_TOL, points=pts)
     if failure is None and inner_failure is not None:
         failure = f"inner quadrature: {inner_failure}"
     return val, err + abs(val) * worst_inner, failure
@@ -296,7 +283,11 @@ def _transition_weights(molecule: MoleculeSpectrum):
     for t in molecule.transitions:
         gap_ratio = t.gap_ev / t0.gap_ev
         if t0.im_rot_strength != 0.0:
-            weight = (t.im_rot_strength / t0.im_rot_strength) * gap_ratio**3
+            try:
+                weight = (t.im_rot_strength / t0.im_rot_strength) * gap_ratio**3
+            except OverflowError:
+                raise ValueError(f"gap ratio {t.gap_ev!r} / {t0.gap_ev!r} is out of range: "
+                                 "its cube overflows") from None
         else:
             weight = 0.0 if t.im_rot_strength == 0.0 else math.nan
         out.append((gap_ratio, weight))
@@ -309,13 +300,14 @@ def _transition_weights(molecule: MoleculeSpectrum):
 
 
 def _shift_scaled(z: float, molecule: MoleculeSpectrum, material: PasteurMaterial,
-                  cfg: QuadratureConfig, kernel: dict):
+                  kernel: dict, rel_tol: float = REL_TOL):
     """Shift, error estimate and first failure message (or None), in units of
     the first transition's energy scale.
 
     ``kernel`` is the x -> g(x) dict of :func:`_outer_integral`, shared by
     every transition here and by every point the caller passes it to; it
-    holds for one (material, cfg) pair only.
+    holds for one (material, rel_tol) pair only.  Only the acceptance
+    suite's tolerance-halving check passes a ``rel_tol`` of its own.
     """
     if not z > 0.0:
         raise ValueError(f"z must be positive, got {z}")
@@ -326,17 +318,19 @@ def _shift_scaled(z: float, molecule: MoleculeSpectrum, material: PasteurMateria
         if weight == 0.0:
             continue
         a = z * gap_ratio
-        val, err, message = _outer_integral(a, material, cfg, kernel)
+        a_sq = a * a
+        if a_sq == 0.0:
+            raise ValueError(f"z = {z!r} is out of range: ({a!r})**2 underflows to 0")
+        val, err, message = _outer_integral(a, material, kernel, rel_tol)
         if failure is None:
             failure = message
-        total += weight * val / (a * a)
-        total_err += abs(weight) * err / (a * a)
+        total += weight * val / a_sq
+        total_err += abs(weight) * err / a_sq
     return total, total_err, failure
 
 
 def chiral_shift_halfspace(z: float, molecule: MoleculeSpectrum,
-                           material: PasteurMaterial,
-                           cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+                           material: PasteurMaterial) -> float:
     """Full orientation-averaged chiral shift at height z above the half-space.
 
     Parameters
@@ -346,7 +340,6 @@ def chiral_shift_halfspace(z: float, molecule: MoleculeSpectrum,
         transition, > 0.
     molecule : MoleculeSpectrum
     material : PasteurMaterial
-    cfg : QuadratureConfig
 
     Returns
     -------
@@ -360,7 +353,7 @@ def chiral_shift_halfspace(z: float, molecule: MoleculeSpectrum,
     QuadratureError
         On non-convergence; carries the partial scaled value.
     """
-    val, err, failure = _shift_scaled(z, molecule, material, cfg, {})
+    val, err, failure = _shift_scaled(z, molecule, material, {})
     if failure is not None:
         raise QuadratureError(failure, val, err)
     return val
@@ -381,12 +374,14 @@ def chiral_shift_nonretarded(z: float, molecule: MoleculeSpectrum,
         return 0.0
     strength_sum = math.fsum(t.im_rot_strength for t in molecule.transitions)
     coeff = (math.pi / 8.0) * reflection_limit(material) * strength_sum / t0.im_rot_strength
-    return coeff / z**3
+    try:
+        return coeff / z**3
+    except ArithmeticError:  # z**3 overflows or underflows to 0
+        raise ValueError(f"z = {z!r} is out of range: z**3 leaves the float range") from None
 
 
 def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
-                    material: PasteurMaterial,
-                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> list[HalfspaceResult]:
+                    material: PasteurMaterial) -> list[HalfspaceResult]:
     """Evaluate the full and non-retarded shifts on a grid of distances.
 
     Per-point quadrature failures are reported in the ``warning`` field of
@@ -402,7 +397,7 @@ def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
     kernel = {}
     results = []
     for z in z_grid:
-        val, err, warning = _shift_scaled(z, molecule, material, cfg, kernel)
+        val, err, warning = _shift_scaled(z, molecule, material, kernel)
         nr = chiral_shift_nonretarded(z, molecule, material)
         results.append(HalfspaceResult(
             z_over_zunit=z,

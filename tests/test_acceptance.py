@@ -6,7 +6,7 @@ failure); the same checks back the CLI ``verify`` command.
 
 import pytest
 
-from chiral_vacuum import QuadratureConfig, acceptance
+from chiral_vacuum import acceptance, pasteur
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +32,7 @@ def test_criterion(results, index, name):
 
 
 def test_quadrature_failure_fails_the_criterion_without_raising(monkeypatch):
-    failing = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-30, max_subdivisions=10)
-    monkeypatch.setattr(acceptance, "DEFAULT_QUADRATURE", failing)
+    monkeypatch.setattr(pasteur, "MAX_SUBDIVISIONS", 10)  # fails at z = 1e-3
     r = acceptance.criterion_5_nonretarded_agreement()
     assert not r.passed
     assert "quadrature failed" in r.detail

@@ -8,7 +8,7 @@ import textwrap
 import pytest
 
 import chiral_vacuum
-from chiral_vacuum import QuadratureConfig, Thermal, acceptance, bose_occupation, cli
+from chiral_vacuum import Thermal, acceptance, bose_occupation, cli, pasteur
 from chiral_vacuum.cli import main
 from chiral_vacuum.output import to_json
 
@@ -104,18 +104,19 @@ def test_unparseable_value_exits_2(capsys):
 
 
 def test_partial_quadrature_failure_exits_1_with_error_column(monkeypatch, capsys):
-    # a quadrature too tight to converge at z = 1e-3 makes that point fail
-    bad = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-30, max_subdivisions=10)
-    sweep = cli.halfspace_sweep
-    monkeypatch.setattr(cli, "halfspace_sweep",
-                        lambda grid, molecule, material: sweep(grid, molecule, material, bad))
-    code, out, _ = run_cli(
+    # a subdivision limit too small to converge at z = 1e-3 makes that point fail
+    monkeypatch.setattr(pasteur, "MAX_SUBDIVISIONS", 10)
+    code, out, err = run_cli(
         ["pasteur", "--material.kappa", "0.4", "--sweep.z_list", "0.001,0.5"], capsys)
     assert code == 1
     cols = [l for l in header_lines(out) if l.startswith("# column")]
     assert any("error_flag" in c for c in cols)
     rows = data_rows(out)
-    assert any(row.endswith(",1") for row in rows)
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["1", "0"]
+    (failed,) = chiral_vacuum.halfspace_sweep(
+        [0.001], chiral_vacuum.MoleculeSpectrum.two_level(2.0, 0.1),
+        chiral_vacuum.PasteurMaterial(1.0, 1.0, 0.4))
+    assert err == f"warning: z = 0.001: {failed.warning.splitlines()[0]}\n"
 
 
 def test_quadrature_keys_are_not_settable(capsys):
@@ -394,3 +395,31 @@ def test_arithmetic_error_exits_1_with_one_line_and_no_output(argv, tmp_path, ca
     assert len(err.strip().splitlines()) == 1
     assert out == ""
     assert not path.exists()
+
+
+@pytest.mark.parametrize("flags,value", [
+    (["--sweep.z_list", "1e-108"], "1e-108"),  # z**3 underflows to 0
+    (["--sweep.z_list", "1e-200"], "1e-200"),  # z**2 underflows to 0
+    (["--sweep.z_list", "1e300"], "1e+300"),  # z**3 overflows
+    (["--molecule.gap_ev", "1e-300,2", "--molecule.im_rot_strength", "0.1,0.1",
+      "--sweep.z_list", "1"], "1e-300"),  # the cube of the gap ratio overflows
+])
+def test_out_of_range_value_exits_1_naming_it(flags, value, capsys):
+    code, out, err = run_cli(["pasteur", "--material.kappa", "0.4"] + flags, capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and value in err
+    assert "ZeroDivisionError" not in err and "OverflowError" not in err
+
+
+def test_smallest_distances_compute_or_name_the_non_finite_column(capsys):
+    code, out, err = run_cli(["pasteur", "--material.kappa", "0.4", "--sweep.z_list", "1e-103"],
+                             capsys)
+    assert code == 0, err
+    assert len(data_rows(out)) == 1
+    code, out, err = run_cli(["pasteur", "--material.kappa", "0.4", "--sweep.z_list", "1e-105"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: non-finite result in 'shift_over_Eunit'\n"

@@ -11,7 +11,6 @@ from chiral_vacuum import pasteur
 from chiral_vacuum import (
     MoleculeSpectrum,
     PasteurMaterial,
-    QuadratureConfig,
     QuadratureError,
     chiral_shift_halfspace,
     chiral_shift_nonretarded,
@@ -25,9 +24,12 @@ from chiral_vacuum.pasteur import _shift_scaled
 
 MOL = MoleculeSpectrum.two_level(2.0, 0.1)
 VACUUMLIKE = PasteurMaterial(1.0, 1.0, 0.4)
-CFG = QuadratureConfig()
-# too tight to converge at z = 1e-3
-FAILING = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-30, max_subdivisions=10)
+
+
+@pytest.fixture
+def failing(monkeypatch):
+    """A subdivision limit too small to converge at z = 1e-3 (but enough at 0.5)."""
+    monkeypatch.setattr(pasteur, "MAX_SUBDIVISIONS", 10)
 
 
 # ------------------------------------------------------------- material
@@ -54,13 +56,6 @@ def test_kappa_r_uses_index():
     mat = PasteurMaterial(4.0, 1.0, 1.5)  # kappa_r = 0.75, allowed
     assert mat.kappa_r == pytest.approx(0.75)
     assert mat.impedance_ratio == pytest.approx(0.5)
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=5)
 
 
 # ------------------------------------------------------------ reflection
@@ -215,28 +210,28 @@ def test_nonretarded_rejects_nonpositive_z():
 # ------------------------------------------------------------ full shift
 
 def test_shift_zero_kappa_within_abs_tol():
-    val = chiral_shift_halfspace(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.0), CFG)
-    assert abs(val) < CFG.abs_tol
+    val = chiral_shift_halfspace(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.0))
+    assert abs(val) < pasteur.ABS_TOL
 
 
 def test_shift_odd_in_kappa():
-    plus, err_p, fail_p = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.2), CFG, {})
-    minus, err_m, fail_m = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, -0.2), CFG, {})
+    plus, err_p, fail_p = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.2), {})
+    minus, err_m, fail_m = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, -0.2), {})
     assert fail_p is None and fail_m is None
     assert abs(plus + minus) <= 2.0 * (err_p + err_m)
 
 
 def test_shift_odd_under_molecule_mirror():
-    plus = chiral_shift_halfspace(0.5, MOL, VACUUMLIKE, CFG) * energy_unit_mev(MOL)
-    mirrored = chiral_shift_halfspace(0.5, MOL.mirror(), VACUUMLIKE, CFG) \
+    plus = chiral_shift_halfspace(0.5, MOL, VACUUMLIKE) * energy_unit_mev(MOL)
+    mirrored = chiral_shift_halfspace(0.5, MOL.mirror(), VACUUMLIKE) \
         * energy_unit_mev(MOL.mirror())
     assert mirrored == pytest.approx(-plus, rel=1e-12)
 
 
 def test_shift_linear_in_rotatory_strength():
-    base = chiral_shift_halfspace(0.5, MOL, VACUUMLIKE, CFG) * energy_unit_mev(MOL)
+    base = chiral_shift_halfspace(0.5, MOL, VACUUMLIKE) * energy_unit_mev(MOL)
     scaled_mol = MoleculeSpectrum.two_level(2.0, 0.4)
-    scaled = chiral_shift_halfspace(0.5, scaled_mol, VACUUMLIKE, CFG) \
+    scaled = chiral_shift_halfspace(0.5, scaled_mol, VACUUMLIKE) \
         * energy_unit_mev(scaled_mol)
     assert scaled == pytest.approx(4.0 * base, rel=1e-14)
 
@@ -245,23 +240,23 @@ def test_nonretarded_agreement_close_in():
     # the short-distance law holds to 1% at z = 1e-3 z_unit, also at kappa_r = +-1
     for kappa in (0.4, 1.0, -1.0):
         material = PasteurMaterial(1.0, 1.0, kappa)
-        full = chiral_shift_halfspace(1e-3, MOL, material, CFG)
+        full = chiral_shift_halfspace(1e-3, MOL, material)
         nr = chiral_shift_nonretarded(1e-3, MOL, material)
         assert abs(full - nr) / abs(nr) < 0.01
 
 
 def test_shift_at_kappa_r_endpoints_is_odd_and_continuous():
     for z in (0.01, 0.5, 5.0):
-        plus = chiral_shift_halfspace(z, MOL, PasteurMaterial(1.0, 1.0, 1.0), CFG)
-        minus = chiral_shift_halfspace(z, MOL, PasteurMaterial(1.0, 1.0, -1.0), CFG)
+        plus = chiral_shift_halfspace(z, MOL, PasteurMaterial(1.0, 1.0, 1.0))
+        minus = chiral_shift_halfspace(z, MOL, PasteurMaterial(1.0, 1.0, -1.0))
         assert minus == -plus
-        near = chiral_shift_halfspace(z, MOL, PasteurMaterial(1.0, 1.0, 1.0 - 1e-9), CFG)
+        near = chiral_shift_halfspace(z, MOL, PasteurMaterial(1.0, 1.0, 1.0 - 1e-9))
         assert plus == pytest.approx(near, rel=1e-5)
 
 
 def test_nonretarded_departure_at_tenth_zunit():
     # confirmed from the computed curve: ~13.9% at z = 0.1 z_unit
-    full = chiral_shift_halfspace(0.1, MOL, VACUUMLIKE, CFG)
+    full = chiral_shift_halfspace(0.1, MOL, VACUUMLIKE)
     nr = chiral_shift_nonretarded(0.1, MOL, VACUUMLIKE)
     rel = abs(full - nr) / abs(nr)
     assert 0.01 < rel < 0.15
@@ -269,7 +264,7 @@ def test_nonretarded_departure_at_tenth_zunit():
 
 def test_shift_rejects_nonpositive_z():
     with pytest.raises(ValueError):
-        chiral_shift_halfspace(-0.5, MOL, VACUUMLIKE, CFG)
+        chiral_shift_halfspace(-0.5, MOL, VACUUMLIKE)
 
 
 def test_multi_transition_superposition():
@@ -277,9 +272,9 @@ def test_multi_transition_superposition():
     mol_b = MoleculeSpectrum.two_level(3.0, 0.05)
     both = MoleculeSpectrum.from_lists([2.0, 3.0], [0.1, 0.05])
     z = 0.5
-    total_mev = chiral_shift_halfspace(z, both, VACUUMLIKE, CFG) * energy_unit_mev(both)
-    sum_mev = (chiral_shift_halfspace(z, mol_a, VACUUMLIKE, CFG) * energy_unit_mev(mol_a)
-               + chiral_shift_halfspace(z * 3.0 / 2.0, mol_b, VACUUMLIKE, CFG)
+    total_mev = chiral_shift_halfspace(z, both, VACUUMLIKE) * energy_unit_mev(both)
+    sum_mev = (chiral_shift_halfspace(z, mol_a, VACUUMLIKE) * energy_unit_mev(mol_a)
+               + chiral_shift_halfspace(z * 3.0 / 2.0, mol_b, VACUUMLIKE)
                * energy_unit_mev(mol_b))
     assert total_mev == pytest.approx(sum_mev, rel=1e-7)
 
@@ -287,27 +282,27 @@ def test_multi_transition_superposition():
 # ----------------------------------------------------------------- sweep
 
 def test_single_point_sweep_reduces_to_direct_call():
-    res = halfspace_sweep([0.5], MOL, VACUUMLIKE, CFG)
+    res = halfspace_sweep([0.5], MOL, VACUUMLIKE)
     assert len(res) == 1
-    assert res[0].shift_eunit == chiral_shift_halfspace(0.5, MOL, VACUUMLIKE, CFG)
+    assert res[0].shift_eunit == chiral_shift_halfspace(0.5, MOL, VACUUMLIKE)
     assert res[0].warning is None
 
 
 def test_sweep_magnitude_decays_with_distance():
     grid = [0.1, 0.3, 0.6, 1.0, 1.5, 2.0]
-    res = halfspace_sweep(grid, MOL, VACUUMLIKE, CFG)
+    res = halfspace_sweep(grid, MOL, VACUUMLIKE)
     mags = [abs(r.shift_eunit) for r in res]
     assert all(b < a for a, b in zip(mags, mags[1:]))
 
 
 def test_kappa_ordering_at_fixed_distance():
-    weak = chiral_shift_halfspace(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.2), CFG)
-    strong = chiral_shift_halfspace(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.4), CFG)
+    weak = chiral_shift_halfspace(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.2))
+    strong = chiral_shift_halfspace(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.4))
     assert abs(strong) > abs(weak)
 
 
 def test_sweep_unit_fields_self_consistent():
-    res = halfspace_sweep([0.3, 0.9], MOL, VACUUMLIKE, CFG)
+    res = halfspace_sweep([0.3, 0.9], MOL, VACUUMLIKE)
     e_mev = energy_unit_mev(MOL)
     for r in res:
         assert r.shift_mev == r.shift_eunit * e_mev
@@ -327,16 +322,16 @@ def shared_kernel_runs():
     calls = []
     g_kernel = pasteur._g_kernel
 
-    def counted(x, material, cfg):
+    def counted(x, material, rel_tol):
         calls.append(x)
-        return g_kernel(x, material, cfg)
+        return g_kernel(x, material, rel_tol)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pasteur, "_g_kernel", counted)
-        sweep = halfspace_sweep(SHARED_GRID, SHARED_MOL, SHARED_MAT, CFG)
+        sweep = halfspace_sweep(SHARED_GRID, SHARED_MOL, SHARED_MAT)
         sweep_calls = list(calls)
         calls.clear()
-        points = [_shift_scaled(z, SHARED_MOL, SHARED_MAT, CFG, {}) for z in SHARED_GRID]
+        points = [_shift_scaled(z, SHARED_MOL, SHARED_MAT, {}) for z in SHARED_GRID]
     return sweep, sweep_calls, points, calls
 
 
@@ -353,30 +348,30 @@ def test_sweep_integrates_each_kernel_node_once(shared_kernel_runs):
 
 
 def test_sweep_deterministic():
-    a = halfspace_sweep([0.4, 0.8], MOL, VACUUMLIKE, CFG)
-    b = halfspace_sweep([0.4, 0.8], MOL, VACUUMLIKE, CFG)
+    a = halfspace_sweep([0.4, 0.8], MOL, VACUUMLIKE)
+    b = halfspace_sweep([0.4, 0.8], MOL, VACUUMLIKE)
     assert a == b
 
 
-def test_sweep_reports_per_point_failures_without_aborting():
-    res = halfspace_sweep([1e-3, 0.5], MOL, VACUUMLIKE, FAILING)
+def test_sweep_reports_per_point_failures_without_aborting(failing):
+    res = halfspace_sweep([1e-3, 0.5], MOL, VACUUMLIKE)
     assert len(res) == 2
-    assert any(r.warning is not None for r in res)
+    assert res[0].warning is not None and res[1].warning is None
     for r in res:
         assert math.isfinite(r.shift_eunit)
 
 
-def test_point_failure_raises_with_partial_value():
+def test_point_failure_raises_with_partial_value(failing):
     with pytest.raises(QuadratureError) as err:
-        chiral_shift_halfspace(1e-3, MOL, VACUUMLIKE, FAILING)
+        chiral_shift_halfspace(1e-3, MOL, VACUUMLIKE)
     assert math.isfinite(err.value.value)
     assert math.isfinite(err.value.error_estimate)
 
 
-def test_sweep_warning_carries_the_point_failure_message():
+def test_sweep_warning_carries_the_point_failure_message(failing):
     with pytest.raises(QuadratureError) as err:
-        chiral_shift_halfspace(1e-3, MOL, VACUUMLIKE, FAILING)
-    (res,) = halfspace_sweep([1e-3], MOL, VACUUMLIKE, FAILING)
+        chiral_shift_halfspace(1e-3, MOL, VACUUMLIKE)
+    (res,) = halfspace_sweep([1e-3], MOL, VACUUMLIKE)
     assert res.warning == str(err.value)
     assert res.shift_eunit == err.value.value
     assert res.error_eunit == err.value.error_estimate
@@ -384,14 +379,13 @@ def test_sweep_warning_carries_the_point_failure_message():
 
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
-        halfspace_sweep([], MOL, VACUUMLIKE, CFG)
+        halfspace_sweep([], MOL, VACUUMLIKE)
 
 
 def test_halving_tolerance_stays_within_estimate():
-    tight = QuadratureConfig(rel_tol=CFG.rel_tol / 2.0)
     for z in (0.3, 1.0):
-        val, est, failure = _shift_scaled(z, MOL, VACUUMLIKE, CFG, {})
-        val2, _, failure2 = _shift_scaled(z, MOL, VACUUMLIKE, tight, {})
+        val, est, failure = _shift_scaled(z, MOL, VACUUMLIKE, {})
+        val2, _, failure2 = _shift_scaled(z, MOL, VACUUMLIKE, {}, rel_tol=pasteur.REL_TOL / 2.0)
         assert failure is None and failure2 is None
         assert abs(val - val2) < est
 
