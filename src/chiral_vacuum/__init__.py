@@ -12,8 +12,6 @@ from .core import (
     Thermal,
     Transition,
     bose_occupation,
-    isotropic_average,
-    random_rotations,
 )
 from .pasteur import (
     HalfspaceResult,
@@ -52,7 +50,7 @@ from .kinetics import (
 __all__ = [
     "__version__",
     "MoleculeSpectrum", "Thermal", "Transition",
-    "bose_occupation", "isotropic_average", "random_rotations",
+    "bose_occupation",
     "HalfspaceResult", "PasteurMaterial", "QuadratureError",
     "chiral_shift_halfspace", "chiral_shift_nonretarded", "energy_unit_mev",
     "halfspace_sweep", "length_unit_nm", "reflection_cross", "reflection_limit",

@@ -110,10 +110,6 @@ def _london_single(mode: CavityMode, t: Transition) -> float:
     return pref * t.im_rot_strength * mode.omega_ev / (t.gap_ev + mode.omega_ev)
 
 
-def _london_mode_term(mode: CavityMode, molecule: MoleculeSpectrum) -> float:
-    return math.fsum(_london_single(mode, t) for t in molecule.transitions)
-
-
 def london_shift(modes: CavityModeSet, molecule: MoleculeSpectrum) -> float:
     """Zero-temperature London-type chiral shift, summed over modes, in eV.
 
@@ -122,7 +118,7 @@ def london_shift(modes: CavityModeSet, molecule: MoleculeSpectrum) -> float:
     ``molecule.mirror()``.  For the canonical ten left-handed modes this
     is negative.
     """
-    return math.fsum(_london_mode_term(m, molecule) for m in modes.modes)
+    return cavity_shift_report(modes, molecule).london_total_t0_ev
 
 
 def _debye_mode_base(mode: CavityMode, ensemble: PolarizedEnsemble) -> float:
@@ -161,22 +157,16 @@ def thermal_ratio_london(mode_omega_ev: float, gap_ev: float, thermal: Thermal) 
     OutOfRegimeError
         If Omega >= E_eg (resonant; treated only qualitatively).
     """
-    if not mode_omega_ev > 0.0:
-        raise ValueError(f"mode frequency must be positive, got {mode_omega_ev}")
     if mode_omega_ev >= gap_ev:
         raise OutOfRegimeError(
             f"mode at {mode_omega_ev} eV is resonant with the gap {gap_ev} eV"
         )
-    if thermal.temperature_k == 0.0:
-        return 1.0
     n_b = bose_occupation(mode_omega_ev, thermal)
     return 1.0 - n_b * 2.0 * mode_omega_ev / (gap_ev - mode_omega_ev)
 
 
 def thermal_ratio_debye(mode_omega_ev: float, thermal: Thermal) -> float:
     """Finite-temperature ratio 1 + 2 n_B for a single-mode Debye shift."""
-    if thermal.temperature_k == 0.0:
-        return 1.0
     return 1.0 + 2.0 * bose_occupation(mode_omega_ev, thermal)
 
 
@@ -213,17 +203,16 @@ def cavity_shift_report(modes: CavityModeSet, molecule: MoleculeSpectrum, *,
     Thermal corrections are applied per mode multiplicatively, per
     transition.  Modes resonant with any transition (Omega >= E_i0) are
     flagged and contribute their zero-temperature value uncorrected
-    rather than aborting the report.  At T = 0 the totals equal
-    :func:`london_shift` exactly.
+    rather than aborting the report.  At T = 0 every ratio is 1.0 and
+    ``london_total_ev == london_total_t0_ev``.
     """
     entries = []
     for mode in modes.modes:
         t0_terms = [(t, _london_single(mode, t)) for t in molecule.transitions]
         london_t0 = math.fsum(term for _, term in t0_terms)
         resonant = any(mode.omega_ev >= t.gap_ev for t in molecule.transitions)
-        if resonant or thermal.temperature_k == 0.0:
-            ratio = None if resonant else 1.0
-            london = london_t0
+        if resonant:
+            ratio, london = None, london_t0
         else:
             london = math.fsum(
                 term * thermal_ratio_london(mode.omega_ev, t.gap_ev, thermal)

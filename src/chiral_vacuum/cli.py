@@ -29,7 +29,6 @@ from .kinetics import ReactionProfile, selectivity_sweep, tst_activation, \
     zero_point_frequency_shift
 from .output import Column, SweepOutput, render
 from .pasteur import PasteurMaterial, energy_unit_mev, halfspace_sweep, length_unit_nm
-from .units import BOLTZMANN_EV
 
 
 def _build(make, config: RunConfig, *keys: str):
@@ -167,15 +166,15 @@ def _run_debye(config: RunConfig) -> tuple[tuple, int]:
     return (columns, rows, notes), 0
 
 
-def _temperatures(config: RunConfig) -> list:
-    temps = config["thermal.temperatures"]
-    if not all(BOLTZMANN_EV * t_k > 0.0 for t_k in temps):  # k_B*T may underflow to 0
-        raise ConfigError("temperatures must be positive", key="thermal.temperatures")
-    return temps
+def _sweep(config: RunConfig, profile: Optional[ReactionProfile] = None) -> list:
+    """``selectivity_sweep`` over the config's grids; a temperature that
+    ``Thermal`` or ``selectivity`` rejects names ``thermal.temperatures``."""
+    return _build(lambda temps: selectivity_sweep(config["sweep.delta_e_mev"], temps, profile),
+                  config, "thermal.temperatures")
 
 
 def _run_selectivity(config: RunConfig) -> tuple[tuple, int]:
-    rows = selectivity_sweep(config["sweep.delta_e_mev"], _temperatures(config))
+    rows = _sweep(config)
     columns = (
         Column("delta_e_meV", "meV"),
         Column("temperature_K", "K"),
@@ -187,19 +186,16 @@ def _run_selectivity(config: RunConfig) -> tuple[tuple, int]:
 def _run_tst(config: RunConfig) -> tuple[tuple, int]:
     profile = _build(ReactionProfile, config, "profile.barrier_ev", "profile.omega_nu_ev",
                      "profile.curvature_b_ev3", "profile.mass_amu")
-    temps = _temperatures(config)
-    grid = config["sweep.delta_e_mev"]
+    corrected = _sweep(config, profile)
+    plain = _sweep(config)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         e_a = tst_activation(profile)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     d_omega = zero_point_frequency_shift(profile)
-    corrected = selectivity_sweep(grid, temps, profile)
-    rows = [
-        (de, t_k, p, e_a, d_omega, p_tst)
-        for (de, t_k, p), (_, _, p_tst) in zip(selectivity_sweep(grid, temps), corrected)
-    ]
+    rows = [(de, t_k, p, e_a, d_omega, p_tst)
+            for (de, t_k, p), (_, _, p_tst) in zip(plain, corrected)]
     columns = (
         Column("delta_e_meV", "meV"),
         Column("temperature_K", "K"),

@@ -1,11 +1,9 @@
-"""Molecular spectra, thermal state, and the isotropic orientation average."""
+"""Molecular spectra and the thermal state of the photonic environment."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .units import BOLTZMANN_EV
 
@@ -81,8 +79,6 @@ class Thermal:
     @classmethod
     def from_kbt_ev(cls, kbt_ev: float) -> "Thermal":
         """Build from the thermal energy k_B*T given in eV."""
-        if not 0.0 <= kbt_ev < math.inf:
-            raise ValueError(f"k_B*T must be finite and >= 0, got {kbt_ev}")
         return cls(kbt_ev / BOLTZMANN_EV)
 
     @property
@@ -113,42 +109,3 @@ def bose_occupation(omega_ev: float, thermal: Thermal) -> float:
     if x > 700.0:  # exp would overflow; occupation is below double precision anyway
         return 0.0
     return 1.0 / math.expm1(x)
-
-
-def isotropic_average(d, m, e_field, b_field) -> float:
-    """Orientation average of Re[(R d . E)(R m . B)] over rotations R.
-
-    The exact SO(3) average collapses to Re[(d . m)(E . B)] / 3, which
-    this evaluates directly.  ``d`` and ``m`` are real 3-vectors; the
-    field vectors may be complex (plain bilinear dot, no conjugation).
-    """
-    d = np.asarray(d, dtype=float)
-    m = np.asarray(m, dtype=float)
-    e_field = np.asarray(e_field, dtype=complex)
-    b_field = np.asarray(b_field, dtype=complex)
-    for name, v in (("d", d), ("m", m), ("e_field", e_field), ("b_field", b_field)):
-        if v.shape != (3,):
-            raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    return float(np.real(np.dot(d, m) * np.dot(e_field, b_field)) / 3.0)
-
-
-def random_rotations(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample ``n`` rotation matrices uniformly (Haar) on SO(3).
-
-    Uses normalized random quaternions, which give the unbiased uniform
-    measure.  Returns an array of shape (n, 3, 3).
-    """
-    q = rng.normal(size=(n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    rot = np.empty((n, 3, 3))
-    rot[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    rot[:, 0, 1] = 2.0 * (x * y - w * z)
-    rot[:, 0, 2] = 2.0 * (x * z + w * y)
-    rot[:, 1, 0] = 2.0 * (x * y + w * z)
-    rot[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    rot[:, 1, 2] = 2.0 * (y * z - w * x)
-    rot[:, 2, 0] = 2.0 * (x * z - w * y)
-    rot[:, 2, 1] = 2.0 * (y * z + w * x)
-    rot[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    return rot

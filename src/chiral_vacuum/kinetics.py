@@ -125,8 +125,6 @@ def selectivity_tst(delta_e_mev: float, profile: ReactionProfile,
     the effective exponent is beta (dE - dw/2).  Reduces bit-identically
     to :func:`selectivity` when b = 0.
     """
-    if profile.curvature_b_ev3 == 0.0:
-        return selectivity(delta_e_mev, thermal)
     if thermal.temperature_k <= 0.0:
         raise ValueError("selectivity requires T > 0")
     half_shift_mev = 0.5 * zero_point_frequency_shift(profile) * 1e3

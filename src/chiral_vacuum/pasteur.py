@@ -84,8 +84,8 @@ class PasteurMaterial:
         # and replace() see only the three parameters.
         eta = self.impedance_ratio
         object.__setattr__(self, "_reflection", (
-            kr, self.eps_r * self.mu_r, (1.0 + kr) ** 2, (1.0 - kr) ** 2,
-            2.0 * eta, 1.0 + eta * eta,
+            kr, abs(kr) == 1.0, self.eps_r * self.mu_r, (1.0 + kr) ** 2, (1.0 - kr) ** 2,
+            2.0 * eta, 1.0 + eta * eta, reflection_limit(self),
         ))
 
     @property
@@ -133,14 +133,15 @@ def reflection_cross(c_prime, material: PasteurMaterial):
                  + 2 eta0 eta (c'^2 + c'_+ c'_-),
         c'_{+-}^2 = 1 + (c'^2 - 1) / (eps_r mu_r (1 +- kappa_r)^2),
 
-    with positive square roots.  Odd in kappa; identically zero for
-    kappa = 0.  At kappa_r = +-1 one of c'_{+-} is infinite and r takes
-    its finite limit
+    with positive square roots.  Odd in kappa; at kappa = 0, c'_+ = c'_-
+    exactly, so r = +0.0.  At kappa_r = +-1 one of c'_{+-} is infinite
+    and r takes its finite limit
 
         r = -kappa_r 2 eta0 eta c' / ((eta0^2 + eta^2) c' + 2 eta0 eta c'_f),
         c'_f^2 = 1 + (c'^2 - 1) / (4 eps_r mu_r).
 
-    Accepts a scalar or ndarray c' >= 1.
+    Accepts a scalar or ndarray c' >= 1.  A scalar c' at which the formula
+    overflows to NaN gets :func:`reflection_limit`: QUADPACK must not see NaN.
 
     Parameters
     ----------
@@ -152,29 +153,28 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     -------
     float or ndarray
     """
-    kr, eps_mu, plus_sq, minus_sq, two_eta, one_eta_sq = material._reflection
+    kr, endpoint, eps_mu, plus_sq, minus_sq, two_eta, one_eta_sq, r_inf = material._reflection
     if isinstance(c_prime, np.ndarray):
         if np.any(c_prime < 1.0):
             raise ValueError("c_prime must be >= 1")
-        if kr == 0.0:
-            return np.zeros_like(c_prime)
         sqrt = np.sqrt
     else:
         if c_prime < 1.0:
             raise ValueError(f"c_prime must be >= 1, got {c_prime}")
-        if kr == 0.0:
-            return 0.0
         sqrt = _sqrt
     c_sq = c_prime * c_prime
     t = (c_sq - 1.0) / eps_mu
-    if kr == 1.0 or kr == -1.0:
+    if endpoint:
         c_finite = sqrt(1.0 + t / 4.0)
         return -kr * two_eta * c_prime / (one_eta_sq * c_prime + two_eta * c_finite)
     cp = sqrt(1.0 + t / plus_sq)
     cm = sqrt(1.0 + t / minus_sq)
     num = two_eta * c_prime * (cp - cm)
     den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
-    return num / den
+    r = num / den
+    if sqrt is _sqrt and r != r:  # an intermediate overflowed: c'^2 / (eps_r mu_r) is huge
+        return r_inf
+    return r
 
 
 def reflection_limit(material: PasteurMaterial) -> float:
@@ -208,11 +208,8 @@ def _g_kernel(x: float, material: PasteurMaterial, rel_tol: float):
     substitution keeps the integrand single-scale for every x, which is
     what makes the nested quadrature cheap.  Returns the :func:`_quad`
     triple, so an enclosing outer quadrature can finish and attribute a
-    meaningful partial result.
+    meaningful partial result.  Called for 0 < x < T_CUTOFF only.
     """
-    if x >= T_CUTOFF:
-        return 0.0, 0.0, None
-
     x_sq = x * x
 
     def integrand(t):
@@ -263,12 +260,17 @@ def _outer_integral(a: float, material: PasteurMaterial, kernel: dict,
 
 
 def energy_unit_mev(molecule: MoleculeSpectrum) -> float:
-    """Energy scale mu0 * ImR_10 * E_10^3 / (3 pi^2) of the first transition, in meV."""
+    """Energy scale mu0 * ImR_10 * E_10^3 / (3 pi^2) of the first transition, in meV;
+    ``ValueError`` if it underflows to 0 while ImR_10 != 0."""
     t = molecule.transitions[0]
     imr_si = t.im_rot_strength * E_CHARGE * BOHR_RADIUS * BOHR_MAGNETON
     gap_j = t.gap_ev * E_CHARGE
     e_unit_j = MU_0 * imr_si * gap_j**3 / (3.0 * math.pi**2 * HBAR**3 * C_LIGHT**2)
-    return e_unit_j / E_CHARGE * 1e3
+    e_unit_mev = e_unit_j / E_CHARGE * 1e3
+    if e_unit_mev == 0.0 and t.im_rot_strength != 0.0:
+        raise ValueError(f"gap {t.gap_ev!r} eV with rotatory strength {t.im_rot_strength!r} "
+                         "is out of range: the energy unit underflows to 0")
+    return e_unit_mev
 
 
 def length_unit_nm(molecule: MoleculeSpectrum) -> float:

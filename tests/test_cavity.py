@@ -205,6 +205,15 @@ def test_report_at_zero_temperature_equals_bare_sums():
     assert rep.london_total_ev == london_shift(TEN_LEFT, MOL)
     assert rep.london_total_t0_ev == rep.london_total_ev
     assert all(m.london_thermal_ratio == 1.0 for m in rep.per_mode)
+    # the general thermal path at n_B = 0: exact, sign of a zero included
+    two = MoleculeSpectrum.from_lists([2.0, 3.5], [0.1, -0.04])
+    linear = CavityModeSet.ladder(0.1, 0.1, 3, veff_nm3=0.2, chirality_factor=0.0)
+    for modes, mol in [(TEN_LEFT, two), (linear, MOL)]:
+        rep = cavity_shift_report(modes, mol, thermal=Thermal(0.0))
+        for m in rep.per_mode:
+            assert m.london_thermal_ratio == 1.0
+            assert m.london_ev == m.london_t0_ev
+            assert math.copysign(1.0, m.london_ev) == math.copysign(1.0, m.london_t0_ev)
 
 
 def test_report_london_total_thermal_bound():

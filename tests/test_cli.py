@@ -296,6 +296,25 @@ def test_rejected_value_exits_2_naming_its_key(argv, key, capsys):
     assert len(err.splitlines()) == 1
 
 
+_NEGATIVE_E_A = ["--profile.barrier_ev", "0.01", "--profile.omega_nu_ev", "0.1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["selectivity", "--thermal.temperatures", "300,0"],
+    ["selectivity", "--thermal.temperatures", "-1"],
+    ["selectivity", "--thermal.temperatures", "300,1e-320"],
+    ["tst", "--thermal.temperatures", "0"],
+    ["tst", "--thermal.temperatures", "-5"] + _NEGATIVE_E_A,  # rejected before the warning
+    ["tst", "--thermal.temperatures", "1e-320"] + _NEGATIVE_E_A,
+])
+def test_rejected_temperature_names_only_its_key(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and err.endswith(" (key 'thermal.temperatures')\n")
+    assert len(err.splitlines()) == 1
+
+
 def test_negative_activation_energy_warns_on_one_line(capsys):
     code, out, err = run_cli(
         ["tst", "--profile.barrier_ev", "0.01", "--profile.omega_nu_ev", "0.1",
@@ -403,6 +422,7 @@ def test_arithmetic_error_exits_1_with_one_line_and_no_output(argv, tmp_path, ca
     (["--sweep.z_list", "1e300"], "1e+300"),  # z**3 overflows
     (["--molecule.gap_ev", "1e-300,2", "--molecule.im_rot_strength", "0.1,0.1",
       "--sweep.z_list", "1"], "1e-300"),  # the cube of the gap ratio overflows
+    (["--molecule.gap_ev", "1e-300", "--sweep.z_list", "1"], "1e-300"),  # E_unit underflows
 ])
 def test_out_of_range_value_exits_1_naming_it(flags, value, capsys):
     code, out, err = run_cli(["pasteur", "--material.kappa", "0.4"] + flags, capsys)

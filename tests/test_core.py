@@ -8,10 +8,8 @@ from chiral_vacuum import (
     Thermal,
     Transition,
     bose_occupation,
-    isotropic_average,
-    random_rotations,
 )
-from chiral_vacuum.acceptance import oracle_mc_isotropic_average
+from chiral_vacuum.acceptance import isotropic_average, oracle_mc_isotropic_average, random_rotations
 
 
 # ---------------------------------------------------------------- types

@@ -132,9 +132,12 @@ def test_round_trip_defining_equation():
 # -------------------------------------------------------------- tst rate
 
 def test_tst_reduces_bit_identically_without_perturbation():
-    profile = ReactionProfile(1.0, 0.1, 0.0, 12.0)
-    for de in (-53.0, -1.0, 0.0, 0.3, 53.0, 400.0):
-        assert selectivity_tst(de, profile, T300) == selectivity(de, T300)
+    for b in (0.0, -0.0):
+        profile = ReactionProfile(1.0, 0.1, b, 12.0)
+        for de in (-53.0, -1.0, -0.0, 0.0, 0.3, 5.0, 53.0, 400.0, 1e300):
+            p = selectivity(de, T300)
+            assert selectivity_tst(de, profile, T300) == p
+            assert math.copysign(1.0, selectivity_tst(de, profile, T300)) == math.copysign(1.0, p)
 
 
 def test_tst_small_zero_point_correction():

@@ -61,8 +61,30 @@ def test_kappa_r_uses_index():
 # ------------------------------------------------------------ reflection
 
 def test_reflection_vanishes_without_chirality():
+    grid = np.array([1.0, 1.3, 2.0, 7.0, 1e8])
     for eps, mu in [(1.0, 1.0), (2.25, 1.0), (3.0, 1.5)]:
-        assert reflection_cross(2.0, PasteurMaterial(eps, mu, 0.0)) == 0.0
+        for kappa in (0.0, -0.0):
+            mat = PasteurMaterial(eps, mu, kappa)
+            r = reflection_cross(2.0, mat)
+            assert r == 0.0 and math.copysign(1.0, r) == 1.0  # +0.0, not -0.0
+            assert not np.any(np.signbit(reflection_cross(grid, mat)))
+            assert np.all(reflection_cross(grid, mat) == 0.0)
+
+
+def test_reflection_where_the_formula_overflows_is_the_limit():
+    # c'^2 / (eps_r mu_r) beyond the float range: inf - inf would reach QUADPACK
+    for mat in [VACUUMLIKE, PasteurMaterial(2.25, 1.1, -0.7), PasteurMaterial(1.0, 1.0, 0.0)]:
+        for c in (1e155, 1e300):
+            r = reflection_cross(c, mat)
+            assert r == reflection_limit(mat)
+            assert math.copysign(1.0, r) == math.copysign(1.0, reflection_limit(mat))
+    # a kappa = 0 shift down to z = 1e-160 stays exactly +0.0, and an
+    # eps_r mu_r near underflow computes (a NaN node can crash QUADPACK)
+    for z in (1e-150, 1e-160):
+        val, err, failure = _shift_scaled(z, MOL, PasteurMaterial(1.0, 1.0, 0.0), {})
+        assert (val, err, failure) == (0.0, 0.0, None) and math.copysign(1.0, val) == 1.0
+    val, err, failure = _shift_scaled(1e-3, MOL, PasteurMaterial(1e-200, 1e-100, 1e-151), {})
+    assert math.isfinite(val) and math.isfinite(err) and failure is None
 
 
 def test_reflection_large_cprime_limit():
@@ -212,6 +234,10 @@ def test_nonretarded_rejects_nonpositive_z():
 def test_shift_zero_kappa_within_abs_tol():
     val = chiral_shift_halfspace(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.0))
     assert abs(val) < pasteur.ABS_TOL
+    for kappa in (0.0, -0.0):  # exactly +0.0, which the CSV would tell from -0.0
+        for r in halfspace_sweep([1e-3, 0.5, 7.0], MOL, PasteurMaterial(2.25, 1.1, kappa)):
+            assert (r.shift_eunit, r.shift_mev, r.error_eunit) == (0.0, 0.0, 0.0)
+            assert math.copysign(1.0, r.shift_eunit) == math.copysign(1.0, r.shift_mev) == 1.0
 
 
 def test_shift_odd_in_kappa():
