@@ -56,7 +56,12 @@ class ReactionProfile:
             raise ValueError(f"omega_nu must be positive, got {self.omega_nu_ev}")
         if not self.mass_amu > 0.0:
             raise ValueError(f"mass must be positive, got {self.mass_amu}")
-        if not self.omega_nu_ev**2 + self.curvature_b_ev3 / self.mass_ev > 0.0:
+        try:
+            omega_sq = self.omega_nu_ev**2
+        except OverflowError:
+            raise ValueError(f"omega_nu {self.omega_nu_ev!r} eV is out of range: "
+                             "its square overflows") from None
+        if not omega_sq + self.curvature_b_ev3 / self.mass_ev > 0.0:
             raise ValueError("curvature perturbation destroys the reactant well")
 
     @property

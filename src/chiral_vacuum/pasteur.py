@@ -28,8 +28,6 @@ from math import exp as _exp, sqrt as _sqrt
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .core import MoleculeSpectrum
 from .units import E_CHARGE, HBAR, C_LIGHT, MU_0, BOHR_RADIUS, BOHR_MAGNETON, HBARC_EV_NM
 
@@ -143,6 +141,10 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     Accepts a scalar or ndarray c' >= 1.  A scalar c' at which the formula
     overflows to NaN gets :func:`reflection_limit`: QUADPACK must not see NaN.
 
+    A Python float or int (QUADPACK passes a float at every node) never
+    loads numpy.  Any other argument imports numpy here, at the first
+    such call, to tell an ndarray from a scalar such as ``np.float32``.
+
     Parameters
     ----------
     c_prime : float or ndarray
@@ -154,14 +156,16 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     float or ndarray
     """
     kr, endpoint, eps_mu, plus_sq, minus_sq, two_eta, one_eta_sq, r_inf = material._reflection
-    if isinstance(c_prime, np.ndarray):
-        if np.any(c_prime < 1.0):
-            raise ValueError("c_prime must be >= 1")
-        sqrt = np.sqrt
+    if isinstance(c_prime, (float, int)):
+        sqrt = _sqrt
     else:
+        import numpy as np
+        sqrt = np.sqrt if isinstance(c_prime, np.ndarray) else _sqrt
+    if sqrt is _sqrt:
         if c_prime < 1.0:
             raise ValueError(f"c_prime must be >= 1, got {c_prime}")
-        sqrt = _sqrt
+    elif np.any(c_prime < 1.0):
+        raise ValueError("c_prime must be >= 1")
     c_sq = c_prime * c_prime
     t = (c_sq - 1.0) / eps_mu
     if endpoint:
@@ -261,15 +265,19 @@ def _outer_integral(a: float, material: PasteurMaterial, kernel: dict,
 
 def energy_unit_mev(molecule: MoleculeSpectrum) -> float:
     """Energy scale mu0 * ImR_10 * E_10^3 / (3 pi^2) of the first transition, in meV;
-    ``ValueError`` if it underflows to 0 while ImR_10 != 0."""
+    ``ValueError`` if it overflows, or underflows to 0 while ImR_10 != 0."""
     t = molecule.transitions[0]
     imr_si = t.im_rot_strength * E_CHARGE * BOHR_RADIUS * BOHR_MAGNETON
     gap_j = t.gap_ev * E_CHARGE
-    e_unit_j = MU_0 * imr_si * gap_j**3 / (3.0 * math.pi**2 * HBAR**3 * C_LIGHT**2)
+    try:
+        e_unit_j = MU_0 * imr_si * gap_j**3 / (3.0 * math.pi**2 * HBAR**3 * C_LIGHT**2)
+    except OverflowError:  # gap_j**3 leaves the float range
+        e_unit_j = math.inf
     e_unit_mev = e_unit_j / E_CHARGE * 1e3
-    if e_unit_mev == 0.0 and t.im_rot_strength != 0.0:
+    if math.isinf(e_unit_mev) or (e_unit_mev == 0.0 and t.im_rot_strength != 0.0):
         raise ValueError(f"gap {t.gap_ev!r} eV with rotatory strength {t.im_rot_strength!r} "
-                         "is out of range: the energy unit underflows to 0")
+                         "is out of range: the energy unit "
+                         + ("overflows" if e_unit_mev else "underflows to 0"))
     return e_unit_mev
 
 

@@ -1,5 +1,9 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 import types
 
 import chiral_vacuum
@@ -28,12 +32,54 @@ def _imports(node, in_function=False):
 
 
 def test_numpy_and_scipy_load_only_where_needed():
-    # numpy at import time only in the modules with array code; scipy
-    # only at the first quadrature, inside a function body
+    # numpy at import time only in the CLI and the acceptance suite; pasteur
+    # loads it at the first array, and scipy loads at the first quadrature,
+    # inside a function body
     numpy_at_top = set()
     for path in sorted(pathlib.Path(chiral_vacuum.__file__).parent.glob("*.py")):
         for name, in_function in _imports(ast.parse(path.read_text())):
             if name == "numpy" and not in_function:
                 numpy_at_top.add(path.stem)
             assert not (name == "scipy" and not in_function), path.name
-    assert numpy_at_top == {"pasteur", "cli", "acceptance"}
+    assert numpy_at_top == {"cli", "acceptance"}
+
+
+def test_closed_form_calls_load_neither_numpy_nor_scipy():
+    # in a fresh interpreter: the package and every closed-form call run on
+    # math alone; the first ndarray then loads numpy and gets the scalar bits
+    code = textwrap.dedent("""
+        import sys
+        import chiral_vacuum as cv
+        mol = cv.MoleculeSpectrum.from_lists([2.0, 3.5], [0.1, -0.04])
+        mat = cv.PasteurMaterial(2.0, 1.5, 0.6)
+        modes = cv.CavityModeSet.uniform([0.2, 0.3], 0.5, 0.1)
+        thermal = cv.Thermal(300.0)
+        profile = cv.ReactionProfile(0.5, 0.1, 1e-4)
+        cv.london_shift(modes, mol)
+        cv.cavity_shift_report(modes, mol, thermal=thermal)
+        cv.debye_shift_per_molecule(modes, cv.PolarizedEnsemble((1.0, 0, 0), (0, 1.0, 0), 10))
+        cv.thermal_ratio_london(0.2, 2.0, thermal)
+        cv.thermal_ratio_debye(0.2, thermal)
+        cv.bose_occupation(0.2, thermal)
+        cv.selectivity(5.0, thermal)
+        cv.selectivity_sweep([0.0, 5.0], [300.0], profile)
+        cv.selectivity_tst(5.0, profile, thermal)
+        cv.tst_activation(profile)
+        cv.zero_point_frequency_shift(profile)
+        cv.chiral_shift_nonretarded(0.5, mol, mat)
+        cv.energy_unit_mev(mol)
+        cv.length_unit_nm(mol)
+        cv.reflection_limit(mat)
+        scalars = [cv.reflection_cross(c, mat) for c in (1.7, 3)]
+        loaded = sorted({"numpy", "scipy"} & set(sys.modules))
+        assert not loaded, loaded
+        import numpy as np
+        array = cv.reflection_cross(np.array([1.7, 3.0]), mat)
+        assert [float(v).hex() for v in array] == [v.hex() for v in scalars]
+    """)
+    src_dir = os.path.dirname(os.path.dirname(chiral_vacuum.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src_dir, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -287,6 +287,7 @@ def test_temperature_whose_kbt_underflows_exits_2(argv, key, capsys):
      "cavity.modes_detailed"),
     (["pasteur", "--sweep.z_min", "-1"], "sweep.z_min"),
     (["pasteur", "--sweep.z_scale", "log", "--sweep.z_max", "-1"], "sweep.z_max"),
+    (["tst", "--profile.omega_nu_ev", "1e200"], "profile.omega_nu_ev"),  # omega**2 overflows
 ])
 def test_rejected_value_exits_2_naming_its_key(argv, key, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -402,20 +403,6 @@ def test_underflowing_material_product_exits_2(capsys):
         assert out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["pasteur", "--molecule.gap_ev", "1e200", "--sweep.z_list", "0.5"],
-    ["tst", "--profile.omega_nu_ev", "1e200"],
-])
-def test_arithmetic_error_exits_1_with_one_line_and_no_output(argv, tmp_path, capsys):
-    path = tmp_path / "out.csv"
-    code, out, err = run_cli(argv + ["--output.path", str(path)], capsys)
-    assert code == 1
-    assert err.startswith("error: OverflowError")
-    assert len(err.strip().splitlines()) == 1
-    assert out == ""
-    assert not path.exists()
-
-
 @pytest.mark.parametrize("flags,value", [
     (["--sweep.z_list", "1e-108"], "1e-108"),  # z**3 underflows to 0
     (["--sweep.z_list", "1e-200"], "1e-200"),  # z**2 underflows to 0
@@ -423,11 +410,15 @@ def test_arithmetic_error_exits_1_with_one_line_and_no_output(argv, tmp_path, ca
     (["--molecule.gap_ev", "1e-300,2", "--molecule.im_rot_strength", "0.1,0.1",
       "--sweep.z_list", "1"], "1e-300"),  # the cube of the gap ratio overflows
     (["--molecule.gap_ev", "1e-300", "--sweep.z_list", "1"], "1e-300"),  # E_unit underflows
+    (["--molecule.gap_ev", "1e150", "--sweep.z_list", "1"], "1e+150"),  # gap_j**3 overflows
+    (["--molecule.gap_ev", "1e120", "--sweep.z_list", "1"], "1e+120"),  # E_unit overflows to inf
 ])
-def test_out_of_range_value_exits_1_naming_it(flags, value, capsys):
-    code, out, err = run_cli(["pasteur", "--material.kappa", "0.4"] + flags, capsys)
+def test_out_of_range_value_exits_1_naming_it(flags, value, tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(["pasteur", "--material.kappa", "0.4", "--output.path", str(path)]
+                             + flags, capsys)
     assert code == 1
-    assert out == ""
+    assert out == "" and not path.exists()
     assert len(err.splitlines()) == 1
     assert err.startswith("error:") and value in err
     assert "ZeroDivisionError" not in err and "OverflowError" not in err

@@ -134,6 +134,28 @@ def test_reflection_rejects_cprime_below_one():
         reflection_cross(np.array([1.5, 0.5]), VACUUMLIKE)
 
 
+def test_reflection_dispatch_keeps_the_value_bits_and_type_of_each_argument_kind():
+    # float, int and np.float64 take the math.sqrt branch with its NaN guard,
+    # an ndarray (0-d included) the numpy branch.  The values and types are
+    # those of the version that imported numpy at module level.
+    mat = PasteurMaterial(2.0, 1.5, 0.5)
+    r_17, r_2 = float.fromhex("-0x1.e825d68328282p-5"), float.fromhex("-0x1.33cef2758346ep-4")
+    for arg, kind, value in [
+        (1.7, float, r_17),
+        (2, float, r_2),
+        (np.float64(1.7), np.float64, r_17),
+        (np.array(1.7), np.float64, r_17),  # numpy returns a 0-d result as a scalar
+    ]:
+        r = reflection_cross(arg, mat)
+        assert type(r) is kind and float(r).hex() == value.hex(), arg
+    r = reflection_cross(np.array([1.7, 2.0]), mat)
+    assert type(r) is np.ndarray and r.dtype == np.float64
+    assert [float(v).hex() for v in r] == [r_17.hex(), r_2.hex()]
+    with np.errstate(over="ignore"):  # c'^2 overflows: the scalar guard returns the limit
+        r = reflection_cross(np.float64(1e300), mat)
+    assert type(r) is float and r == reflection_limit(mat)
+
+
 def _reflection_cross_per_call(c_prime, material):
     """Reference: r(c') with every material constant recomputed per call."""
     kr = material.kappa_r
