@@ -22,6 +22,7 @@ accompanying the magnetic field restored.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -47,10 +48,11 @@ class CavityMode:
     chirality_factor: float
 
     def __post_init__(self):
-        if not self.omega_ev > 0.0:
-            raise ValueError(f"mode frequency must be positive, got {self.omega_ev}")
-        if not self.veff_nm3 > 0.0:
-            raise ValueError(f"effective volume must be positive, got {self.veff_nm3}")
+        if not 0.0 < self.omega_ev < math.inf:
+            raise ValueError(f"mode frequency must be positive and finite, got {self.omega_ev}")
+        if not 0.0 < self.veff_nm3 < math.inf:
+            raise ValueError(
+                f"effective volume must be positive and finite, got {self.veff_nm3}")
         if not abs(self.chirality_factor) <= 0.5:
             raise ValueError(
                 f"chirality factor must lie in [-1/2, 1/2], got {self.chirality_factor}"
@@ -95,9 +97,13 @@ class PolarizedEnsemble:
     def __post_init__(self):
         if len(self.d00) != 3 or len(self.m00) != 3:
             raise ValueError("dipole moments must be 3-vectors")
+        if not all(map(math.isfinite, (*self.d00, *self.m00))):
+            raise ValueError(f"dipole components must be finite, got {self.d00}, {self.m00}")
         n = self.n_molecules
         if not (isinstance(n, int) and not isinstance(n, bool) and n > 0):
             raise ValueError(f"n_molecules must be a positive integer, got {n}")
+        if n > sys.float_info.max:  # the shifts multiply floats by n
+            raise ValueError("n_molecules is too large to convert to a float")
 
     def mirror(self) -> "PolarizedEnsemble":
         dx, dy, dz = self.d00

@@ -42,31 +42,41 @@ def _parse_float(s: str) -> float:
     return value
 
 
-def _parse_float_list(s: str) -> list[float]:
+def _parse_positive_float(s: str) -> float:
+    value = _parse_float(s)
+    if not value > 0.0:
+        raise ValueError(f"value must be positive, got {value}")
+    return value
+
+
+def _parse_list(s: str, parse_item: Callable[[str], object] = _parse_float) -> list:
     items = [p.strip() for p in s.split(",") if p.strip()]
     if not items:
         raise ValueError("empty list")
-    return [_parse_float(p) for p in items]
+    return [parse_item(p) for p in items]
 
 
-def _parse_optional_float_list(s: str) -> Optional[list[float]]:
-    return _parse_float_list(s) if s.strip() else None
+def _parse_optional_positive_list(s: str) -> Optional[list[float]]:
+    return _parse_list(s, _parse_positive_float) if s.strip() else None
 
 
-def _parse_int_list(s: str) -> list[int]:
-    counts = [int(p.strip()) for p in s.split(",") if p.strip()]
-    if not counts:
-        raise ValueError("empty list")
-    for n in counts:
-        try:
-            float(n)  # the physics multiplies floats by these counts
-        except OverflowError:
-            raise ValueError("count is too large to convert to a float") from None
-    return counts
+def _parse_grid_points(s: str) -> int:
+    n = int(s)
+    if not 1 <= n <= MAX_GRID_POINTS:
+        raise ValueError(f"count must lie in [1, {MAX_GRID_POINTS}]")
+    return n
+
+
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(s: str) -> str:
+        if s not in options:
+            raise ValueError(f"expected {' or '.join(options)}")
+        return s
+    return parse
 
 
 def _parse_vec3(s: str) -> tuple[float, float, float]:
-    vals = _parse_float_list(s)
+    vals = _parse_list(s)
     if len(vals) != 3:
         raise ValueError(f"expected 3 components, got {len(vals)}")
     return (vals[0], vals[1], vals[2])
@@ -90,7 +100,7 @@ def _parse_grid(s: str) -> list[float]:
         if abs(start + (n - 1) * step - stop) > 1e-9 * max(abs(step), 1.0):
             raise ValueError("range stop is not reachable with the given step")
         return [start + k * step for k in range(n)]
-    return _parse_float_list(s)
+    return _parse_list(s)
 
 
 _MODE_FIELDS = {"omega_ev", "veff_nm3", "chirality_factor"}
@@ -127,10 +137,10 @@ REGISTRY: dict[str, ParamSpec] = {
     "material.eps_r": ParamSpec(_parse_float, "1.0", "relative permittivity"),
     "material.mu_r": ParamSpec(_parse_float, "1.0", "relative permeability"),
     "material.kappa": ParamSpec(_parse_float, "0.0", "Pasteur parameter"),
-    "molecule.gap_ev": ParamSpec(_parse_float_list, "2.0",
+    "molecule.gap_ev": ParamSpec(_parse_list, "2.0",
                                  "transition gaps in eV (comma list)"),
     "molecule.im_rot_strength": ParamSpec(
-        _parse_float_list, "0.1",
+        _parse_list, "0.1",
         "imaginary rotatory strengths in e*a0*mu_B (comma list)"),
     "cavity.modes": ParamSpec(_parse_grid, "0.1:0.1:1.0",
                               "mode frequencies in eV (start:step:stop or list)"),
@@ -146,17 +156,17 @@ REGISTRY: dict[str, ParamSpec] = {
                               "permanent magnetic dipole in mu_B"),
     "ensemble.n_molecules": ParamSpec(int, "100", "molecules in the ensemble"),
     "thermal.temperature_k": ParamSpec(_parse_float, "300", "temperature in K"),
-    "thermal.temperatures": ParamSpec(_parse_float_list, "200,300,400",
+    "thermal.temperatures": ParamSpec(_parse_list, "200,300,400",
                                       "temperature list in K for sweeps"),
-    "sweep.z_min": ParamSpec(_parse_float, "0.1", "sweep start, multiples of z_unit"),
-    "sweep.z_max": ParamSpec(_parse_float, "2.0", "sweep end, multiples of z_unit"),
-    "sweep.z_points": ParamSpec(int, "50", "number of sweep points"),
-    "sweep.z_scale": ParamSpec(str, "linear", "z spacing: linear or log"),
-    "sweep.z_list": ParamSpec(_parse_optional_float_list, "",
+    "sweep.z_min": ParamSpec(_parse_positive_float, "0.1", "sweep start, multiples of z_unit"),
+    "sweep.z_max": ParamSpec(_parse_positive_float, "2.0", "sweep end, multiples of z_unit"),
+    "sweep.z_points": ParamSpec(_parse_grid_points, "50", "number of sweep points"),
+    "sweep.z_scale": ParamSpec(_choice("linear", "log"), "linear", "z spacing: linear or log"),
+    "sweep.z_list": ParamSpec(_parse_optional_positive_list, "",
                               "explicit z list (overrides min/max)"),
     "sweep.delta_e_mev": ParamSpec(_parse_grid, "-100:5:100",
                                    "energy-shift grid in meV"),
-    "sweep.n_list": ParamSpec(_parse_int_list, "1,10,100",
+    "sweep.n_list": ParamSpec(lambda s: _parse_list(s, int), "1,10,100",
                               "molecule counts for the collective sweep"),
     "profile.barrier_ev": ParamSpec(_parse_float, "1.0", "barrier height in eV"),
     "profile.omega_nu_ev": ParamSpec(_parse_float, "0.1",
@@ -165,7 +175,7 @@ REGISTRY: dict[str, ParamSpec] = {
                                          "curvature perturbation b in eV^3"),
     "profile.mass_amu": ParamSpec(_parse_float, "12.0", "effective mass in amu"),
     "output.path": ParamSpec(str, "-", "output file, - for stdout"),
-    "output.format": ParamSpec(str, "csv", "output format: csv or json"),
+    "output.format": ParamSpec(_choice("csv", "json"), "csv", "output format: csv or json"),
 }
 
 _OUTPUT_KEYS = ("output.path", "output.format")
@@ -258,8 +268,8 @@ def parse_config(argv: list[str]) -> RunConfig:
     """Resolve command, config file and flags into a validated RunConfig.
 
     Precedence: built-in defaults < config file < flags.  Unknown keys
-    and unparseable values are rejected with the offending key named
-    (and the line number for file entries).
+    and unparseable or out-of-range values are rejected with the
+    offending key named (and the line number for file entries).
     """
     if not argv:
         raise ConfigError(f"missing command; expected one of {', '.join(COMMANDS)}")
@@ -299,23 +309,7 @@ def parse_config(argv: list[str]) -> RunConfig:
                               key=key, line=line)
         raw[key] = value_str
 
-    _validate(command, values)
     return RunConfig(command=command, values=values, raw=raw)
-
-
-def _validate(command: str, values: dict) -> None:
-    if "output.format" in values and values["output.format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {values['output.format']!r}",
-                          key="output.format")
-    if "sweep.z_scale" in values and values["sweep.z_scale"] not in ("linear", "log"):
-        raise ConfigError("z_scale must be linear or log", key="sweep.z_scale")
-    if "molecule.gap_ev" in values:
-        gaps = values["molecule.gap_ev"]
-        strengths = values["molecule.im_rot_strength"]
-        if len(gaps) != len(strengths):
-            raise ConfigError(
-                f"{len(gaps)} gaps but {len(strengths)} rotatory strengths",
-                key="molecule.im_rot_strength")
 
 
 def usage() -> str:

@@ -35,13 +35,16 @@ class ReactionProfile:
     barrier_ev : float
         Classical barrier height on the potential energy surface, > 0.
     omega_nu_ev : float
-        Vibrational quantum of the reactant well, > 0.
+        Vibrational quantum of the reactant well, > 0; its square must
+        neither overflow nor underflow to 0.
     curvature_b_ev3 : float
         Signed change b of the quadratic PES coefficient, in natural
         units eV^3 (energy per natural length squared).
     mass_amu : float
         Effective mass of the reaction coordinate in atomic mass units
-        (one carbon is a typical estimate).
+        (one carbon is a typical estimate), > 0.
+
+    Every field must be finite.
     """
 
     barrier_ev: float
@@ -50,17 +53,18 @@ class ReactionProfile:
     mass_amu: float = 12.0
 
     def __post_init__(self):
-        if not self.barrier_ev > 0.0:
-            raise ValueError(f"barrier must be positive, got {self.barrier_ev}")
-        if not self.omega_nu_ev > 0.0:
-            raise ValueError(f"omega_nu must be positive, got {self.omega_nu_ev}")
-        if not self.mass_amu > 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass_amu}")
-        try:
-            omega_sq = self.omega_nu_ev**2
-        except OverflowError:
-            raise ValueError(f"omega_nu {self.omega_nu_ev!r} eV is out of range: "
-                             "its square overflows") from None
+        if not 0.0 < self.barrier_ev < math.inf:
+            raise ValueError(f"barrier must be positive and finite, got {self.barrier_ev}")
+        if not 0.0 < self.omega_nu_ev < math.inf:
+            raise ValueError(f"omega_nu must be positive and finite, got {self.omega_nu_ev}")
+        if not math.isfinite(self.curvature_b_ev3):
+            raise ValueError(f"curvature b must be finite, got {self.curvature_b_ev3}")
+        if not 0.0 < self.mass_amu < math.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass_amu}")
+        omega_sq = self.omega_nu_ev * self.omega_nu_ev
+        if not 0.0 < omega_sq < math.inf:
+            raise ValueError(f"omega_nu {self.omega_nu_ev!r} eV is out of range: its square "
+                             + ("overflows" if omega_sq else "underflows to 0"))
         if not omega_sq + self.curvature_b_ev3 / self.mass_ev > 0.0:
             raise ValueError("curvature perturbation destroys the reactant well")
 
@@ -69,7 +73,11 @@ class ReactionProfile:
         return self.mass_amu * ATOMIC_MASS_EV
 
 
-def _saturate(p: float) -> float:
+def _selectivity(exponent_mev: float, thermal: Thermal) -> float:
+    """tanh(exponent / kT) for T > 0, the body of both public selectivities."""
+    if thermal.temperature_k <= 0.0:
+        raise ValueError("selectivity requires T > 0")
+    p = math.tanh(exponent_mev / (thermal.kbt_ev * 1e3))
     # keep |P| < 1 strictly for finite inputs
     if p >= 1.0:
         return _ONE_MINUS_ULP
@@ -93,9 +101,7 @@ def selectivity(delta_e_mev: float, thermal: Thermal) -> float:
     float
         P in (-1, 1); overflow-safe, saturating to +-(1 - ulp).
     """
-    if thermal.temperature_k <= 0.0:
-        raise ValueError("selectivity requires T > 0")
-    return _saturate(math.tanh(delta_e_mev / (thermal.kbt_ev * 1e3)))
+    return _selectivity(delta_e_mev, thermal)
 
 
 def tst_activation(profile: ReactionProfile) -> float:
@@ -130,10 +136,8 @@ def selectivity_tst(delta_e_mev: float, profile: ReactionProfile,
     the effective exponent is beta (dE - dw/2).  Reduces bit-identically
     to :func:`selectivity` when b = 0.
     """
-    if thermal.temperature_k <= 0.0:
-        raise ValueError("selectivity requires T > 0")
     half_shift_mev = 0.5 * zero_point_frequency_shift(profile) * 1e3
-    return _saturate(math.tanh((delta_e_mev - half_shift_mev) / (thermal.kbt_ev * 1e3)))
+    return _selectivity(delta_e_mev - half_shift_mev, thermal)
 
 
 def selectivity_sweep(delta_e_grid_mev: Sequence[float],

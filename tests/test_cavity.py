@@ -50,6 +50,11 @@ def test_ensemble_validation_and_mirror():
     assert mirrored.mirror() == ens
 
 
+def test_ensemble_rejects_a_count_too_large_for_a_float():
+    with pytest.raises(ValueError, match="too large"):
+        PolarizedEnsemble((0.2, 0.0, 0.0), (0.0, 1.0, 0.0), 10**400)
+
+
 def test_ensemble_rejects_bool_count():
     # bool is an int subclass; True must not pass as one molecule
     with pytest.raises(ValueError):

@@ -288,6 +288,12 @@ def test_temperature_whose_kbt_underflows_exits_2(argv, key, capsys):
     (["pasteur", "--sweep.z_min", "-1"], "sweep.z_min"),
     (["pasteur", "--sweep.z_scale", "log", "--sweep.z_max", "-1"], "sweep.z_max"),
     (["tst", "--profile.omega_nu_ev", "1e200"], "profile.omega_nu_ev"),  # omega**2 overflows
+    (["tst", "--profile.omega_nu_ev", "1e-200"], "profile.omega_nu_ev"),  # omega**2 underflows
+    (["cavity", "--output.format", "xml"], "output.format"),
+    (["pasteur", "--sweep.z_scale", "cubic"], "sweep.z_scale"),
+    (["cavity", "--molecule.gap_ev", "2,3"], "molecule.im_rot_strength"),  # lengths differ
+    (["pasteur", "--sweep.z_points", "0", "--sweep.z_list", "1"], "sweep.z_points"),  # unused
+    (["pasteur", "--sweep.z_list", "1,-1"], "sweep.z_list"),
 ])
 def test_rejected_value_exits_2_naming_its_key(argv, key, capsys):
     code, out, err = run_cli(argv, capsys)

@@ -129,12 +129,6 @@ def test_incomplete_value_names_the_key(argv, key):
     assert repr(key) in str(err.value)
 
 
-def test_mismatched_molecule_lists_rejected():
-    with pytest.raises(ConfigError) as err:
-        parse_config(["cavity", "--molecule.gap_ev", "2.0,3.0"])
-    assert "molecule.im_rot_strength" in str(err.value)
-
-
 def test_equals_form_flags():
     cfg = parse_config(["pasteur", "--material.kappa=0.25"])
     assert cfg["material.kappa"] == 0.25

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -27,6 +28,14 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         # perturbation deeper than the well curvature
         ReactionProfile(1.0, 0.1, curvature_b_ev3=-2e9, mass_amu=12.0)
+
+
+@pytest.mark.parametrize("omega,reason", [(1e200, "its square overflows"),
+                                          (1e-200, "its square underflows to 0")])
+def test_profile_omega_whose_square_leaves_the_float_range_is_named(omega, reason):
+    message = f"omega_nu {omega!r} eV is out of range: {reason}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ReactionProfile(1.0, omega)
 
 
 # ------------------------------------------------------------ selectivity

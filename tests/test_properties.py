@@ -1,11 +1,14 @@
 """Property tests for the paper's exact invariants over random inputs.
 
 Each property is an identity the code must meet bit for bit, so every
-comparison is ``==``.  ``max_examples`` keeps each test well under 1 s.
+comparison is ``==``; the last property checks that every domain
+constructor rejects a non-finite float.  ``max_examples`` keeps each
+test well under 1 s.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +18,9 @@ from chiral_vacuum import (
     MoleculeSpectrum,
     PasteurMaterial,
     PolarizedEnsemble,
+    ReactionProfile,
     Thermal,
+    Transition,
     chiral_shift_nonretarded,
     debye_shift_per_molecule,
     energy_unit_mev,
@@ -152,3 +157,43 @@ def test_sweep_shift_mev_is_odd_under_mirror_and_linear_in_im_r():
     assert shifts(mol.mirror()) == [-v for v in base]
     for k in (-3, 2):
         assert shifts(_scaled(mol, k)) == [math.ldexp(v, k) for v in base]
+
+
+# Valid keyword arguments of each domain constructor.  The curvature
+# perturbation stays far above -M omega^2 (M is about 1e10 eV).
+_VALID_KWARGS = {
+    Transition: st.fixed_dictionaries({"gap_ev": gaps, "im_rot_strength": strengths}),
+    Thermal: st.fixed_dictionaries({"temperature_k": st.floats(1.0, 1e4) | st.just(0.0)}),
+    PasteurMaterial: st.builds(
+        lambda eps, mu, kappa_r: {"eps_r": eps, "mu_r": mu,
+                                  "kappa": kappa_r * math.sqrt(eps * mu)},
+        eps_mu, eps_mu, kappa_rs),
+    CavityMode: st.fixed_dictionaries({
+        "omega_ev": st.floats(0.01, 5.0), "veff_nm3": st.floats(0.01, 100.0),
+        "chirality_factor": st.floats(-0.5, 0.5)}),
+    PolarizedEnsemble: st.fixed_dictionaries({
+        "d00": vectors, "m00": vectors, "n_molecules": st.integers(1, 10**9)}),
+    ReactionProfile: st.fixed_dictionaries({
+        "barrier_ev": st.floats(0.01, 10.0), "omega_nu_ev": st.floats(0.01, 1.0),
+        "curvature_b_ev3": st.floats(-1e3, 1e3), "mass_amu": st.floats(1.0, 100.0)}),
+}
+
+
+@pytest.mark.parametrize("cls", list(_VALID_KWARGS), ids=lambda cls: cls.__name__)
+@FAST
+@given(data=st.data(), bad=st.sampled_from([math.inf, -math.inf, math.nan]))
+def test_domain_constructors_reject_non_finite_floats(cls, data, bad):
+    kwargs = data.draw(_VALID_KWARGS[cls])
+    cls(**kwargs)
+    # every float field, and every component of a vector field
+    slots = [(name, None) for name, v in kwargs.items() if isinstance(v, float)] \
+        + [(name, i) for name, v in kwargs.items() if isinstance(v, tuple) for i in range(3)]
+    name, i = data.draw(st.sampled_from(slots))
+    if i is None:
+        value = bad
+    else:
+        value = list(kwargs[name])
+        value[i] = bad
+        value = tuple(value)
+    with pytest.raises(ValueError):
+        cls(**{**kwargs, name: value})
