@@ -57,7 +57,7 @@ def _z_grid(config: RunConfig) -> list:
     if config["sweep.z_list"] is not None:
         return config["sweep.z_list"]
     space = np.geomspace if config["sweep.z_scale"] == "log" else np.linspace
-    return list(space(config["sweep.z_min"], config["sweep.z_max"], config["sweep.z_points"]))
+    return space(config["sweep.z_min"], config["sweep.z_max"], config["sweep.z_points"]).tolist()
 
 
 def _run_pasteur(config: RunConfig) -> tuple[tuple, int]:

@@ -154,7 +154,7 @@ REGISTRY: dict[str, ParamSpec] = {
                               "permanent electric dipole in e*a0"),
     "ensemble.m00": ParamSpec(_parse_vec3, "0,1,0",
                               "permanent magnetic dipole in mu_B"),
-    "ensemble.n_molecules": ParamSpec(int, "100", "molecules in the ensemble"),
+    "ensemble.n_molecules": ParamSpec(int, "100", "ignored: debye takes N from sweep.n_list"),
     "thermal.temperature_k": ParamSpec(_parse_float, "300", "temperature in K"),
     "thermal.temperatures": ParamSpec(_parse_list, "200,300,400",
                                       "temperature list in K for sweeps"),

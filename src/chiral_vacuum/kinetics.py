@@ -39,7 +39,8 @@ class ReactionProfile:
         neither overflow nor underflow to 0.
     curvature_b_ev3 : float
         Signed change b of the quadratic PES coefficient, in natural
-        units eV^3 (energy per natural length squared).
+        units eV^3 (energy per natural length squared).  b/M and
+        omega_nu^2 + b/M must not overflow.
     mass_amu : float
         Effective mass of the reaction coordinate in atomic mass units
         (one carbon is a typical estimate), > 0.
@@ -65,8 +66,13 @@ class ReactionProfile:
         if not 0.0 < omega_sq < math.inf:
             raise ValueError(f"omega_nu {self.omega_nu_ev!r} eV is out of range: its square "
                              + ("overflows" if omega_sq else "underflows to 0"))
-        if not omega_sq + self.curvature_b_ev3 / self.mass_ev > 0.0:
+        ratio = self.curvature_b_ev3 / self.mass_ev
+        if not omega_sq + ratio > 0.0:
             raise ValueError("curvature perturbation destroys the reactant well")
+        if omega_sq + ratio == math.inf:
+            raise ValueError(f"b/M = {self.curvature_b_ev3!r} eV^3 / {self.mass_ev!r} eV is "
+                             "out of range: " + ("it overflows" if ratio == math.inf
+                                                 else "omega_nu^2 + b/M overflows"))
 
     @property
     def mass_ev(self) -> float:

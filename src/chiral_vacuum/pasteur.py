@@ -233,9 +233,7 @@ def _outer_integral(a: float, material: PasteurMaterial, kernel: dict,
     reported by the inner quadrature; the message is the outer failure,
     else the first inner one.
 
-    ``kernel`` maps x to its :func:`_g_kernel` triple for this material
-    and rel_tol; an x already there is not integrated again.  The triple
-    depends on x alone, so reuse changes no bit of the result.
+    ``kernel`` is the x -> g(x) dict of :func:`_shift_scaled`.
     """
     worst_inner = 0.0
     inner_failure = None
@@ -298,45 +296,45 @@ def _transition_weights(molecule: MoleculeSpectrum):
             except OverflowError:
                 raise ValueError(f"gap ratio {t.gap_ev!r} / {t0.gap_ev!r} is out of range: "
                                  "its cube overflows") from None
+        elif t.im_rot_strength == 0.0:
+            weight = 0.0
         else:
-            weight = 0.0 if t.im_rot_strength == 0.0 else math.nan
+            raise ValueError("first transition has zero rotatory strength; the scaled "
+                             "energy unit is undefined for this spectrum")
         out.append((gap_ratio, weight))
-    if any(math.isnan(w) for _, w in out):
-        raise ValueError(
-            "first transition has zero rotatory strength; the scaled energy "
-            "unit is undefined for this spectrum"
-        )
     return out
 
 
-def _shift_scaled(z: float, molecule: MoleculeSpectrum, material: PasteurMaterial,
-                  kernel: dict, rel_tol: float = REL_TOL):
-    """Shift, error estimate and first failure message (or None), in units of
-    the first transition's energy scale.
+def _shift_scaled(z_grid: Sequence[float], molecule: MoleculeSpectrum,
+                  material: PasteurMaterial, rel_tol: float = REL_TOL):
+    """Yield (shift, error estimate, first failure message or None) at each z
+    of ``z_grid``, in units of the first transition's energy scale.
 
-    ``kernel`` is the x -> g(x) dict of :func:`_outer_integral`, shared by
-    every transition here and by every point the caller passes it to; it
-    holds for one (material, rel_tol) pair only.  Only the acceptance
-    suite's tolerance-halving check passes a ``rel_tol`` of its own.
+    All transitions and points share one x -> g(x) dict of :func:`_outer_integral`,
+    made here because it holds for one (material, rel_tol) pair only.  g(x)
+    depends on x alone, so each point is bit-identical to a one-point grid.
+    Only the acceptance suite's tolerance-halving check passes a ``rel_tol``.
     """
-    if not z > 0.0:
-        raise ValueError(f"z must be positive, got {z}")
-    total = 0.0
-    total_err = 0.0
-    failure = None
-    for gap_ratio, weight in _transition_weights(molecule):
-        if weight == 0.0:
-            continue
-        a = z * gap_ratio
-        a_sq = a * a
-        if a_sq == 0.0:
-            raise ValueError(f"z = {z!r} is out of range: ({a!r})**2 underflows to 0")
-        val, err, message = _outer_integral(a, material, kernel, rel_tol)
-        if failure is None:
-            failure = message
-        total += weight * val / a_sq
-        total_err += abs(weight) * err / a_sq
-    return total, total_err, failure
+    kernel = {}
+    for z in z_grid:
+        if not z > 0.0:
+            raise ValueError(f"z must be positive, got {z}")
+        total = 0.0
+        total_err = 0.0
+        failure = None
+        for gap_ratio, weight in _transition_weights(molecule):
+            if weight == 0.0:
+                continue
+            a = z * gap_ratio
+            a_sq = a * a
+            if a_sq == 0.0:
+                raise ValueError(f"z = {z!r} is out of range: ({a!r})**2 underflows to 0")
+            val, err, message = _outer_integral(a, material, kernel, rel_tol)
+            if failure is None:
+                failure = message
+            total += weight * val / a_sq
+            total_err += abs(weight) * err / a_sq
+        yield total, total_err, failure
 
 
 def chiral_shift_halfspace(z: float, molecule: MoleculeSpectrum,
@@ -363,7 +361,7 @@ def chiral_shift_halfspace(z: float, molecule: MoleculeSpectrum,
     QuadratureError
         On non-convergence; carries the partial scaled value.
     """
-    val, err, failure = _shift_scaled(z, molecule, material, {})
+    [(val, err, failure)] = _shift_scaled([z], molecule, material)
     if failure is not None:
         raise QuadratureError(failure, val, err)
     return val
@@ -395,19 +393,15 @@ def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
     """Evaluate the full and non-retarded shifts on a grid of distances.
 
     Per-point quadrature failures are reported in the ``warning`` field of
-    the corresponding result instead of aborting the sweep.
-
-    All points and transitions share one x -> g(x) dict that lives for
-    this call only, so the inner integral runs once per distinct outer
-    node of the sweep; each result is bit-identical to its point alone.
+    the corresponding result instead of aborting the sweep.  The points
+    share their inner integrals, and each result is bit-identical to its
+    point alone.
     """
     if len(z_grid) == 0:
         raise ValueError("z grid must not be empty")
     e_mev = energy_unit_mev(molecule)
-    kernel = {}
     results = []
-    for z in z_grid:
-        val, err, warning = _shift_scaled(z, molecule, material, kernel)
+    for z, (val, err, warning) in zip(z_grid, _shift_scaled(z_grid, molecule, material)):
         nr = chiral_shift_nonretarded(z, molecule, material)
         results.append(HalfspaceResult(
             z_over_zunit=z,

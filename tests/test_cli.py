@@ -294,6 +294,10 @@ def test_temperature_whose_kbt_underflows_exits_2(argv, key, capsys):
     (["cavity", "--molecule.gap_ev", "2,3"], "molecule.im_rot_strength"),  # lengths differ
     (["pasteur", "--sweep.z_points", "0", "--sweep.z_list", "1"], "sweep.z_points"),  # unused
     (["pasteur", "--sweep.z_list", "1,-1"], "sweep.z_list"),
+    (["tst", "--profile.mass_amu", "1e-320", "--profile.curvature_b_ev3", "1"],
+     "profile.mass_amu"),  # b/M overflows
+    (["tst", "--profile.omega_nu_ev", "1e154", "--profile.curvature_b_ev3", "1e308",
+      "--profile.mass_amu", "1e-9"], "profile.curvature_b_ev3"),  # omega**2 + b/M overflows
 ])
 def test_rejected_value_exits_2_naming_its_key(argv, key, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -418,6 +422,8 @@ def test_underflowing_material_product_exits_2(capsys):
     (["--molecule.gap_ev", "1e-300", "--sweep.z_list", "1"], "1e-300"),  # E_unit underflows
     (["--molecule.gap_ev", "1e150", "--sweep.z_list", "1"], "1e+150"),  # gap_j**3 overflows
     (["--molecule.gap_ev", "1e120", "--sweep.z_list", "1"], "1e+120"),  # E_unit overflows to inf
+    (["--sweep.z_min", "1e-300", "--sweep.z_max", "1", "--sweep.z_points", "2",
+      "--sweep.z_scale", "log"], "z = 1e-300 "),  # a grid point, named as a Python float
 ])
 def test_out_of_range_value_exits_1_naming_it(flags, value, tmp_path, capsys):
     path = tmp_path / "out.csv"

@@ -28,6 +28,12 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         # perturbation deeper than the well curvature
         ReactionProfile(1.0, 0.1, curvature_b_ev3=-2e9, mass_amu=12.0)
+    with pytest.raises(ValueError, match=re.escape("b/M = 1.0 eV^3 / 9.314837322663e-312 eV is "
+                                                   "out of range: it overflows")):
+        ReactionProfile(1.0, 0.1, curvature_b_ev3=1.0, mass_amu=1e-320)
+    with pytest.raises(ValueError, match=re.escape("out of range: omega_nu^2 + b/M overflows")):
+        # would give dw = 0 where sqrt(w^2 + b/M) - w is about 4.4e153 eV
+        ReactionProfile(1.0, 1e154, curvature_b_ev3=1e308, mass_amu=1e-9)
 
 
 @pytest.mark.parametrize("omega,reason", [(1e200, "its square overflows"),

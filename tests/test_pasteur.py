@@ -81,9 +81,9 @@ def test_reflection_where_the_formula_overflows_is_the_limit():
     # a kappa = 0 shift down to z = 1e-160 stays exactly +0.0, and an
     # eps_r mu_r near underflow computes (a NaN node can crash QUADPACK)
     for z in (1e-150, 1e-160):
-        val, err, failure = _shift_scaled(z, MOL, PasteurMaterial(1.0, 1.0, 0.0), {})
+        [(val, err, failure)] = _shift_scaled([z], MOL, PasteurMaterial(1.0, 1.0, 0.0))
         assert (val, err, failure) == (0.0, 0.0, None) and math.copysign(1.0, val) == 1.0
-    val, err, failure = _shift_scaled(1e-3, MOL, PasteurMaterial(1e-200, 1e-100, 1e-151), {})
+    [(val, err, failure)] = _shift_scaled([1e-3], MOL, PasteurMaterial(1e-200, 1e-100, 1e-151))
     assert math.isfinite(val) and math.isfinite(err) and failure is None
 
 
@@ -253,9 +253,9 @@ def test_nonretarded_rejects_nonpositive_z():
 
 # ------------------------------------------------------------ full shift
 
-def test_shift_zero_kappa_within_abs_tol():
+def test_shift_zero_kappa_is_exactly_zero():
     val = chiral_shift_halfspace(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.0))
-    assert abs(val) < pasteur.ABS_TOL
+    assert val == 0.0 and math.copysign(1.0, val) == 1.0
     for kappa in (0.0, -0.0):  # exactly +0.0, which the CSV would tell from -0.0
         for r in halfspace_sweep([1e-3, 0.5, 7.0], MOL, PasteurMaterial(2.25, 1.1, kappa)):
             assert (r.shift_eunit, r.shift_mev, r.error_eunit) == (0.0, 0.0, 0.0)
@@ -263,8 +263,8 @@ def test_shift_zero_kappa_within_abs_tol():
 
 
 def test_shift_odd_in_kappa():
-    plus, err_p, fail_p = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, 0.2), {})
-    minus, err_m, fail_m = _shift_scaled(0.5, MOL, PasteurMaterial(1.0, 1.0, -0.2), {})
+    [(plus, err_p, fail_p)] = _shift_scaled([0.5], MOL, PasteurMaterial(1.0, 1.0, 0.2))
+    [(minus, err_m, fail_m)] = _shift_scaled([0.5], MOL, PasteurMaterial(1.0, 1.0, -0.2))
     assert fail_p is None and fail_m is None
     assert abs(plus + minus) <= 2.0 * (err_p + err_m)
 
@@ -334,6 +334,14 @@ def test_single_point_sweep_reduces_to_direct_call():
     assert len(res) == 1
     assert res[0].shift_eunit == chiral_shift_halfspace(0.5, MOL, VACUUMLIKE)
     assert res[0].warning is None
+    # kappa_r = +-1 and kappa = 0: each point of a longer sweep, bit for bit
+    grid = [1e-2, 0.5, 5.0]
+    for kappa in (1.0, -1.0, 0.0):
+        material = PasteurMaterial(1.0, 1.0, kappa)
+        res = halfspace_sweep(grid, MOL, material)
+        assert [r.warning for r in res] == [None] * len(grid)
+        assert [repr(r.shift_eunit) for r in res] == [
+            repr(chiral_shift_halfspace(z, MOL, material)) for z in grid]
 
 
 def test_sweep_magnitude_decays_with_distance():
@@ -365,8 +373,8 @@ SHARED_GRID = [float(z) for z in np.geomspace(1e-3, 1e2, 11)]
 
 @pytest.fixture(scope="module")
 def shared_kernel_runs():
-    """The sweep and its points run one by one, each with a fresh kernel
-    dict, with every x passed to _g_kernel recorded."""
+    """The sweep and its points run one by one, each as a one-point grid,
+    with every x passed to _g_kernel recorded."""
     calls = []
     g_kernel = pasteur._g_kernel
 
@@ -379,7 +387,7 @@ def shared_kernel_runs():
         sweep = halfspace_sweep(SHARED_GRID, SHARED_MOL, SHARED_MAT)
         sweep_calls = list(calls)
         calls.clear()
-        points = [_shift_scaled(z, SHARED_MOL, SHARED_MAT, {}) for z in SHARED_GRID]
+        points = [next(_shift_scaled([z], SHARED_MOL, SHARED_MAT)) for z in SHARED_GRID]
     return sweep, sweep_calls, points, calls
 
 
@@ -432,8 +440,8 @@ def test_sweep_rejects_empty_grid():
 
 def test_halving_tolerance_stays_within_estimate():
     for z in (0.3, 1.0):
-        val, est, failure = _shift_scaled(z, MOL, VACUUMLIKE, {})
-        val2, _, failure2 = _shift_scaled(z, MOL, VACUUMLIKE, {}, rel_tol=pasteur.REL_TOL / 2.0)
+        [(val, est, failure)] = _shift_scaled([z], MOL, VACUUMLIKE)
+        [(val2, _, failure2)] = _shift_scaled([z], MOL, VACUUMLIKE, rel_tol=pasteur.REL_TOL / 2.0)
         assert failure is None and failure2 is None
         assert abs(val - val2) < est
 
