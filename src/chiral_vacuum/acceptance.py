@@ -1,10 +1,10 @@
-"""Built-in acceptance suite and the independent oracles it relies on.
+"""Built-in acceptance suite and the oracle it relies on.
 
 Each criterion returns a :class:`CriterionResult`; ``run_all`` executes
-the whole list.  The oracles here are deliberately primitive (dense
-fixed-grid Simpson rules, Monte-Carlo rotation sampling, truncated
-thermal sums) so they stay independent of the adaptive evaluation paths
-they check.
+the whole list.  Criterion 7 checks the adaptive half-space quadrature
+against :func:`oracle_dense_halfspace_shift`, a fixed composite
+Gauss-Legendre rule on graded panels at two sizes.  It shares only
+:func:`reflection_cross` with the path it checks.
 """
 
 from __future__ import annotations
@@ -35,120 +35,56 @@ from .pasteur import (
 )
 
 
-# ---------------------------------------------------------------- oracles
+# ----------------------------------------------------------------- oracle
 
-def _simpson_weights(n_panels: int) -> np.ndarray:
-    if n_panels % 2 != 0:
-        raise ValueError("Simpson rule needs an even panel count")
-    w = np.ones(n_panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
-
-
-# Panels per axis of the dense oracle's two Simpson grids, and the x at
-# which its outer grid starts (the [0, x_eps) sliver is a one-point stub).
-_DENSE_PANELS = (2_000, 4_000)
-_X_EPS = 1e-7
+def _graded_panels(lo, hi, m: int, rule):
+    """Nodes and weights of the Gauss-Legendre ``rule`` on [0, lo] and on m
+    geometric panels from lo to hi, one row per entry of the arrays lo, hi."""
+    t, w = rule
+    edges = lo[:, None] * (hi / lo)[:, None] ** (np.arange(m + 1) / m)
+    edges = np.hstack((np.zeros((len(lo), 1)), edges))
+    mid = (edges[:, 1:] + edges[:, :-1]) / 2.0
+    half = (edges[:, 1:] - edges[:, :-1]) / 2.0
+    return ((mid[..., None] + half[..., None] * t).reshape(len(lo), -1),
+            (half[..., None] * w).reshape(len(lo), -1))
 
 
-def _dense_simpson(z: float, material: PasteurMaterial, n: int) -> float:
-    """Tensor-product Simpson rule on an n x n grid in the original
-    (x, c') variables; the scaled shift of one transition at distance z."""
-    a = z
-    x_grid = np.linspace(_X_EPS, _T_CUTOFF, n + 1)
-    wx = _simpson_weights(n) * (_T_CUTOFF - _X_EPS) / n
-    # inner grid c = 1 + (T/x) * s with shared fractions s, so the
-    # exponential factors exactly: exp(-2xc) = exp(-2x) exp(-2T s)
-    s = np.arange(n + 1) / n
-    wi_exp = _simpson_weights(n) * np.exp(-2.0 * _T_CUTOFF * s)
-    f_vals = np.empty_like(x_grid)
-    chunk = 256
-    for i0 in range(0, len(x_grid), chunk):
-        xs = x_grid[i0:i0 + chunk]
-        span = _T_CUTOFF / xs[:, None]
-        c = 1.0 + span * s[None, :]
-        integ = reflection_cross(c, material)
-        np.multiply(c, c, out=c)
-        c -= 1.0
-        integ *= c
-        inner = (integ @ wi_exp) * (span[:, 0] / n) * np.exp(-2.0 * xs)
-        f_vals[i0:i0 + chunk] = xs**3 * inner / (a * a + xs * xs)
-    return (float(f_vals @ wx) + _X_EPS * f_vals[0]) / (a * a)
+def _first_inner_edge(material: PasteurMaterial) -> float:
+    """v0 of the first inner panel [0, v0], in v = c' - 1.
+
+    A thousandth of the smallest scale of r(c') in v: 1 for c' itself, and
+    eps_r mu_r (1 - |kappa_r|)^2 / 2 for c'_- (2 eps_r mu_r for the finite
+    branch at kappa_r = +-1).  v0 stays at least 1e-9 as |kappa_r| -> 1: a
+    feature of r below that carries a weight of order v0^2 under (c'^2 - 1).
+    """
+    kr = abs(material.kappa_r)
+    eps_mu = material.eps_r * material.mu_r
+    scale = 2.0 * eps_mu if kr == 1.0 else eps_mu * (1.0 - kr) ** 2 / 2.0
+    return max(1e-3 * min(1.0, scale), 1e-9)
+
+
+def _graded_gauss_legendre(z: float, material: PasteurMaterial, m: int) -> float:
+    """Scaled shift of one transition at distance z, in the original (x, c')
+    variables: x on [0, 1e-9] and m geometric panels to T, and for each x,
+    v = c' - 1 on [0, v0] and m geometric panels to T/x."""
+    rule = np.polynomial.legendre.leggauss(8)
+    [x], [wx] = _graded_panels(np.array([1e-9]), np.array([_T_CUTOFF]), m, rule)
+    v0 = _first_inner_edge(material)
+    inner = np.empty_like(x)
+    for i in range(0, len(x), 64):  # blocks of 64 x rows stay in cache
+        xs = x[i:i + 64]
+        v, wv = _graded_panels(np.full(xs.shape, v0), _T_CUTOFF / xs, m, rule)
+        inner[i:i + 64] = (wv * np.exp(-2.0 * xs[:, None] * (1.0 + v)) * v * (v + 2.0)
+                           * reflection_cross(1.0 + v, material)).sum(axis=1)
+    return float(wx @ (x**3 * inner / (z * z + x * x))) / (z * z)
 
 
 def oracle_dense_halfspace_shift(z: float, material: PasteurMaterial) -> tuple[float, float]:
-    """Dense Simpson oracle for the scaled shift of one transition at z:
-    :func:`_dense_simpson` at n and 2n panels (S1, S2) gives the Richardson
-    value S2 + (S2 - S1)/15 and its error estimate |S2 - S1|/15."""
-    s1, s2 = (_dense_simpson(z, material, n) for n in _DENSE_PANELS)
-    return s2 + (s2 - s1) / 15.0, abs(s2 - s1) / 15.0
-
-
-def isotropic_average(d, m, e_field, b_field) -> float:
-    """Orientation average of Re[(R d . E)(R m . B)] over rotations R.
-
-    The exact SO(3) average collapses to Re[(d . m)(E . B)] / 3, which
-    this evaluates directly.  ``d`` and ``m`` are real 3-vectors; the
-    field vectors may be complex (plain bilinear dot, no conjugation).
-    """
-    d = np.asarray(d, dtype=float)
-    m = np.asarray(m, dtype=float)
-    e_field = np.asarray(e_field, dtype=complex)
-    b_field = np.asarray(b_field, dtype=complex)
-    for name, v in (("d", d), ("m", m), ("e_field", e_field), ("b_field", b_field)):
-        if v.shape != (3,):
-            raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    return float(np.real(np.dot(d, m) * np.dot(e_field, b_field)) / 3.0)
-
-
-def random_rotations(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample ``n`` rotation matrices uniformly (Haar) on SO(3).
-
-    Uses normalized random quaternions, which give the unbiased uniform
-    measure.  Returns an array of shape (n, 3, 3).
-    """
-    q = rng.normal(size=(n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    rot = np.empty((n, 3, 3))
-    rot[:, 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    rot[:, 0, 1] = 2.0 * (x * y - w * z)
-    rot[:, 0, 2] = 2.0 * (x * z + w * y)
-    rot[:, 1, 0] = 2.0 * (x * y + w * z)
-    rot[:, 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    rot[:, 1, 2] = 2.0 * (y * z - w * x)
-    rot[:, 2, 0] = 2.0 * (x * z - w * y)
-    rot[:, 2, 1] = 2.0 * (y * z + w * x)
-    rot[:, 2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    return rot
-
-
-def oracle_mc_isotropic_average(d, m, e_field, b_field, n_samples: int,
-                                rng: np.random.Generator):
-    """Monte-Carlo SO(3) orientation average; returns (mean, std_error)."""
-    rot = random_rotations(n_samples, rng)
-    rd = rot @ np.asarray(d, dtype=float)
-    rm = rot @ np.asarray(m, dtype=float)
-    vals = np.real((rd @ np.asarray(e_field, dtype=complex))
-                   * (rm @ np.asarray(b_field, dtype=complex)))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
-
-
-def oracle_thermal_london_ratio(omega_ev: float, gap_ev: float, thermal: Thermal,
-                                i_max: int = 50) -> float:
-    """Two-branch perturbation sum over photon occupations, truncated at i_max.
-
-    Per occupation I with Boltzmann weight: emission into I+1 photons
-    against E + Omega, absorption from I photons against E - Omega; the
-    ratio to the zero-temperature single branch is returned.
-    """
-    beta_omega = omega_ev / thermal.kbt_ev
-    weights = np.exp(-beta_omega * np.arange(i_max + 1))
-    weights /= weights.sum()
-    occ = np.arange(i_max + 1)
-    shift = (weights * ((occ + 1) / (gap_ev + omega_ev) - occ / (gap_ev - omega_ev))).sum()
-    return float(shift * (gap_ev + omega_ev))
+    """Graded Gauss-Legendre oracle for the scaled shift of one transition at z:
+    the value on 80 panels per axis, and its distance from the value on 40 as
+    the error estimate."""
+    coarse, fine = (_graded_gauss_legendre(z, material, m) for m in (40, 80))
+    return fine, abs(fine - coarse)
 
 
 # ------------------------------------------------------------- criteria
@@ -275,16 +211,6 @@ def criterion_6_symmetry_suite() -> CriterionResult:
     if debye_shift_per_molecule(permuted, ens) != base:
         failures.append("Debye not invariant under mode-frequency permutation")
 
-    rng = np.random.default_rng(20260810)
-    d = rng.normal(size=3)
-    m = rng.normal(size=3)
-    e_f = rng.normal(size=3) + 1j * rng.normal(size=3)
-    b_f = rng.normal(size=3) + 1j * rng.normal(size=3)
-    mc, sigma = oracle_mc_isotropic_average(d, m, e_f, b_f, 100_000, rng)
-    exact = isotropic_average(d, m, e_f, b_f)
-    if abs(mc - exact) > 3.0 * sigma:
-        failures.append(f"isotropic average off MC oracle by {abs(mc - exact) / sigma:.1f} sigma")
-
     passed = not failures
     detail = "all symmetry/property checks hold" if passed else "; ".join(failures)
     return CriterionResult(6, "symmetry suite", passed, detail)
@@ -304,18 +230,18 @@ def criterion_7_quadrature_robustness() -> CriterionResult:
     worst = worst_est = 0.0
     for z, kappa in samples:
         mat = PasteurMaterial(1.0, 1.0, kappa)
-        dense, dense_err = oracle_dense_halfspace_shift(z, mat)
+        oracle, oracle_err = oracle_dense_halfspace_shift(z, mat)
         adaptive, _ = _shift(z, _TWO_LEVEL, mat, failures)
-        rel, rel_est = abs(dense - adaptive) / abs(dense), dense_err / abs(dense)
+        rel, rel_est = abs(oracle - adaptive) / abs(oracle), oracle_err / abs(oracle)
         worst, worst_est = max(worst, rel), max(worst_est, rel_est)
         if not rel_est <= 1e-8:
-            failures.append(f"dense-grid estimate {rel_est:.2e} > 1e-8 at z={z}, kappa={kappa}")
+            failures.append(f"oracle estimate {rel_est:.2e} > 1e-8 at z={z}, kappa={kappa}")
         if rel > 1e-6:
-            failures.append(f"dense-grid mismatch {rel:.2e} at z={z}, kappa={kappa}")
+            failures.append(f"oracle mismatch {rel:.2e} at z={z}, kappa={kappa}")
 
     passed = not failures
-    detail = (f"max dense-grid deviation {worst:.2e} (bound 1e-6), its own estimate "
-              f"{worst_est:.2e} (bound 1e-8); tolerance halving bounded"
+    detail = (f"max deviation from the Gauss-Legendre oracle {worst:.2e} (bound 1e-6), "
+              f"its own estimate {worst_est:.2e} (bound 1e-8); tolerance halving bounded"
               if passed else "; ".join(failures))
     return CriterionResult(7, "quadrature robustness", passed, detail)
 

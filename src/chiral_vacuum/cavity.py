@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import MoleculeSpectrum, Thermal, Transition, bose_occupation
+from .core import MoleculeSpectrum, Thermal, Transition, _store_floats, bose_occupation
 from .units import BOHR_RADIUS_NM, FINE_STRUCTURE, RYDBERG_EV
 
 
@@ -48,6 +48,7 @@ class CavityMode:
     chirality_factor: float
 
     def __post_init__(self):
+        _store_floats(self, "omega_ev", "veff_nm3", "chirality_factor")
         if not 0.0 < self.omega_ev < math.inf:
             raise ValueError(f"mode frequency must be positive and finite, got {self.omega_ev}")
         if not 0.0 < self.veff_nm3 < math.inf:
@@ -95,6 +96,8 @@ class PolarizedEnsemble:
     n_molecules: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d00", tuple(map(float, self.d00)))
+        object.__setattr__(self, "m00", tuple(map(float, self.m00)))
         if len(self.d00) != 3 or len(self.m00) != 3:
             raise ValueError("dipole moments must be 3-vectors")
         if not all(map(math.isfinite, (*self.d00, *self.m00))):

@@ -46,7 +46,7 @@ def _build_molecule(config: RunConfig) -> MoleculeSpectrum:
 
 
 def _build_modes(config: RunConfig) -> CavityModeSet:
-    if config["cavity.modes_detailed"]:
+    if config["cavity.modes_detailed"] is not None:
         return _build(lambda entries: CavityModeSet(tuple(CavityMode(**e) for e in entries)),
                       config, "cavity.modes_detailed")
     return _build(CavityModeSet.uniform, config,

@@ -106,13 +106,14 @@ def _parse_grid(s: str) -> list[float]:
 _MODE_FIELDS = {"omega_ev", "veff_nm3", "chirality_factor"}
 
 
-def _parse_modes_detailed(s: str) -> list[dict]:
-    """JSON-style inline list of {omega_ev, veff_nm3, chirality_factor}."""
+def _parse_modes_detailed(s: str) -> Optional[list[dict]]:
+    """JSON-style inline list of {omega_ev, veff_nm3, chirality_factor};
+    None when blank."""
     if not s.strip():
-        return []
+        return None
     data = json.loads(s)
-    if not isinstance(data, list):
-        raise ValueError("modes_detailed must be a JSON list")
+    if not isinstance(data, list) or not data:
+        raise ValueError("modes_detailed must be a nonempty JSON list")
     out = []
     for entry in data:
         if not isinstance(entry, dict):

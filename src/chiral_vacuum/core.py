@@ -8,6 +8,14 @@ from dataclasses import dataclass
 from .units import BOLTZMANN_EV
 
 
+def _store_floats(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as a Python
+    float, so that a numpy scalar computes, fails and prints as the float
+    of the same value."""
+    for name in names:
+        object.__setattr__(obj, name, float(getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class Transition:
     """One electronic transition from the ground state.
@@ -25,6 +33,7 @@ class Transition:
     im_rot_strength: float
 
     def __post_init__(self):
+        _store_floats(self, "gap_ev", "im_rot_strength")
         if not 0.0 < self.gap_ev < math.inf:
             raise ValueError(f"transition gap must be positive and finite, got {self.gap_ev}")
         if not math.isfinite(self.im_rot_strength):
@@ -71,6 +80,7 @@ class Thermal:
     temperature_k: float
 
     def __post_init__(self):
+        _store_floats(self, "temperature_k")
         if not 0.0 <= self.temperature_k < math.inf:
             raise ValueError(f"temperature must be finite and >= 0 K, got {self.temperature_k}")
         if self.temperature_k > 0.0 and self.kbt_ev == 0.0:

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Thermal
+from .core import Thermal, _store_floats
 from .units import ATOMIC_MASS_EV
 
 _ONE_MINUS_ULP = math.nextafter(1.0, 0.0)
@@ -54,6 +54,7 @@ class ReactionProfile:
     mass_amu: float = 12.0
 
     def __post_init__(self):
+        _store_floats(self, "barrier_ev", "omega_nu_ev", "curvature_b_ev3", "mass_amu")
         if not 0.0 < self.barrier_ev < math.inf:
             raise ValueError(f"barrier must be positive and finite, got {self.barrier_ev}")
         if not 0.0 < self.omega_nu_ev < math.inf:
@@ -107,7 +108,7 @@ def selectivity(delta_e_mev: float, thermal: Thermal) -> float:
     float
         P in (-1, 1); overflow-safe, saturating to +-(1 - ulp).
     """
-    return _selectivity(delta_e_mev, thermal)
+    return _selectivity(float(delta_e_mev), thermal)
 
 
 def tst_activation(profile: ReactionProfile) -> float:
@@ -143,7 +144,7 @@ def selectivity_tst(delta_e_mev: float, profile: ReactionProfile,
     to :func:`selectivity` when b = 0.
     """
     half_shift_mev = 0.5 * zero_point_frequency_shift(profile) * 1e3
-    return _selectivity(delta_e_mev - half_shift_mev, thermal)
+    return _selectivity(float(delta_e_mev) - half_shift_mev, thermal)
 
 
 def selectivity_sweep(delta_e_grid_mev: Sequence[float],

@@ -28,7 +28,7 @@ from math import exp as _exp, sqrt as _sqrt
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import MoleculeSpectrum
+from .core import MoleculeSpectrum, _store_floats
 from .units import E_CHARGE, HBAR, C_LIGHT, MU_0, BOHR_RADIUS, BOHR_MAGNETON, HBARC_EV_NM
 
 
@@ -60,6 +60,7 @@ class PasteurMaterial:
     kappa: float = 0.0
 
     def __post_init__(self):
+        _store_floats(self, "eps_r", "mu_r", "kappa")
         if not 0.0 < self.eps_r < math.inf:
             raise ValueError(f"eps_r must be positive and finite, got {self.eps_r}")
         if not 0.0 < self.mu_r < math.inf:
@@ -296,6 +297,10 @@ def _transition_weights(molecule: MoleculeSpectrum):
             except OverflowError:
                 raise ValueError(f"gap ratio {t.gap_ev!r} / {t0.gap_ev!r} is out of range: "
                                  "its cube overflows") from None
+            if math.isinf(weight):
+                raise ValueError(f"rotatory strength {t.im_rot_strength!r} against "
+                                 f"{t0.im_rot_strength!r} is out of range: the transition "
+                                 "weight overflows")
         elif t.im_rot_strength == 0.0:
             weight = 0.0
         else:
@@ -316,7 +321,7 @@ def _shift_scaled(z_grid: Sequence[float], molecule: MoleculeSpectrum,
     Only the acceptance suite's tolerance-halving check passes a ``rel_tol``.
     """
     kernel = {}
-    for z in z_grid:
+    for z in map(float, z_grid):
         if not z > 0.0:
             raise ValueError(f"z must be positive, got {z}")
         total = 0.0
@@ -374,11 +379,12 @@ def chiral_shift_nonretarded(z: float, molecule: MoleculeSpectrum,
     Equals (pi/8) r(inf) sum_i ImR_i0/ImR_10 / z^3 in the scaled units of
     :func:`chiral_shift_halfspace`; exact 1/z^3 scaling.
     """
+    z = float(z)
     if not z > 0.0:
         raise ValueError(f"z must be positive, got {z}")
+    _transition_weights(molecule)  # raises if the unit is undefined or a weight overflows
     t0 = molecule.transitions[0]
     if t0.im_rot_strength == 0.0:
-        _transition_weights(molecule)  # raises if the unit is undefined
         return 0.0
     strength_sum = math.fsum(t.im_rot_strength for t in molecule.transitions)
     coeff = (math.pi / 8.0) * reflection_limit(material) * strength_sum / t0.im_rot_strength
@@ -404,7 +410,7 @@ def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
     for z, (val, err, warning) in zip(z_grid, _shift_scaled(z_grid, molecule, material)):
         nr = chiral_shift_nonretarded(z, molecule, material)
         results.append(HalfspaceResult(
-            z_over_zunit=z,
+            z_over_zunit=float(z),
             shift_eunit=val,
             shift_mev=val * e_mev,
             nonretarded_eunit=nr,

@@ -4,9 +4,12 @@ Each test prints one pass/fail line (visible with ``pytest -s`` or on
 failure); the same checks back the CLI ``verify`` command.
 """
 
+import math
+
 import pytest
 
-from chiral_vacuum import acceptance, pasteur
+from chiral_vacuum import PasteurMaterial, acceptance, pasteur
+from perfbench import oracle as reference
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +39,20 @@ def test_quadrature_failure_fails_the_criterion_without_raising(monkeypatch):
     r = acceptance.criterion_5_nonretarded_agreement()
     assert not r.passed
     assert "quadrature failed" in r.detail
+
+
+@pytest.mark.parametrize("z,eps_r,mu_r,kappa_r", [
+    # criterion 7's samples
+    (0.3, 1.0, 1.0, 0.4), (0.5, 1.0, 1.0, 0.4), (0.5, 1.0, 1.0, 0.2),
+    (1.0, 1.0, 1.0, 0.4), (1.5, 1.0, 1.0, 0.2),
+    (1e-3, 2.5, 1.3, 0.67), (0.5, 2.5, 1.3, 0.67),
+    (1e-3, 0.2, 5.0, 1.0), (0.5, 0.2, 5.0, 1.0),
+])
+def test_oracle_matches_the_benchmark_reference(z, eps_r, mu_r, kappa_r):
+    # The benchmark's reference takes the x integral in closed form and
+    # c' by Simpson in ln p, so it shares no rule with the oracle; the
+    # oracle's two sizes agreeing with each other would show nothing.
+    kappa = kappa_r * math.sqrt(eps_r * mu_r)
+    value, _ = acceptance.oracle_dense_halfspace_shift(z, PasteurMaterial(eps_r, mu_r, kappa))
+    ref, _ = reference.halfspace_shift(z, eps_r, mu_r, kappa, [2.0], [0.1])
+    assert abs(value - ref) <= 1e-10 * abs(ref)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 import scipy.constants as sc
 
@@ -16,7 +17,6 @@ from chiral_vacuum import (
     thermal_ratio_debye,
     thermal_ratio_london,
 )
-from chiral_vacuum.acceptance import oracle_thermal_london_ratio
 
 TEN_LEFT = CavityModeSet.ladder(0.1, 0.1, 10, veff_nm3=0.2, chirality_factor=-0.5)
 MOL = MoleculeSpectrum.two_level(2.0, 0.1)
@@ -164,6 +164,22 @@ def test_thermal_london_unity_at_zero_temperature():
 def test_thermal_london_correction_bound():
     correction = 1.0 - thermal_ratio_london(0.1, 2.0, KBT_034)
     assert correction < 0.006
+
+
+def oracle_thermal_london_ratio(omega_ev: float, gap_ev: float, thermal: Thermal,
+                                i_max: int = 50) -> float:
+    """Two-branch perturbation sum over photon occupations, truncated at i_max.
+
+    Per occupation I with Boltzmann weight: emission into I+1 photons
+    against E + Omega, absorption from I photons against E - Omega; the
+    ratio to the zero-temperature single branch is returned.
+    """
+    beta_omega = omega_ev / thermal.kbt_ev
+    weights = np.exp(-beta_omega * np.arange(i_max + 1))
+    weights /= weights.sum()
+    occ = np.arange(i_max + 1)
+    shift = (weights * ((occ + 1) / (gap_ev + omega_ev) - occ / (gap_ev - omega_ev))).sum()
+    return float(shift * (gap_ev + omega_ev))
 
 
 def test_thermal_london_against_occupation_sum_oracle():

@@ -285,6 +285,7 @@ def test_temperature_whose_kbt_underflows_exits_2(argv, key, capsys):
     (["debye", "--sweep.n_list", ","], "sweep.n_list"),
     (["cavity", "--cavity.modes_detailed", '[{"omega_ev": 0.1, "veff_nm3": 0.2}]'],
      "cavity.modes_detailed"),
+    (["debye", "--cavity.modes_detailed", "[]"], "cavity.modes_detailed"),
     (["pasteur", "--sweep.z_min", "-1"], "sweep.z_min"),
     (["pasteur", "--sweep.z_scale", "log", "--sweep.z_max", "-1"], "sweep.z_max"),
     (["tst", "--profile.omega_nu_ev", "1e200"], "profile.omega_nu_ev"),  # omega**2 overflows

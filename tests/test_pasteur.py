@@ -315,6 +315,17 @@ def test_shift_rejects_nonpositive_z():
         chiral_shift_halfspace(-0.5, MOL, VACUUMLIKE)
 
 
+@pytest.mark.parametrize("strengths", [[5e-324, 1.0], [1e-300, 1e10]])
+@pytest.mark.parametrize("material", [PasteurMaterial(), VACUUMLIKE], ids=["kappa0", "kappa"])
+def test_scaled_shifts_reject_an_overflowing_transition_weight(strengths, material):
+    # ImR_2 / ImR_1 overflows: the scaled shift would be inf, or NaN at kappa = 0
+    mol = MoleculeSpectrum.from_lists([2.0, 2.0], strengths)
+    message = f"rotatory strength {strengths[1]!r} against {strengths[0]!r} is out of range"
+    for shift in (chiral_shift_halfspace, chiral_shift_nonretarded):
+        with pytest.raises(ValueError, match=message):
+            shift(1.0, mol, material)
+
+
 def test_multi_transition_superposition():
     mol_a = MoleculeSpectrum.two_level(2.0, 0.1)
     mol_b = MoleculeSpectrum.two_level(3.0, 0.05)

@@ -1,15 +1,19 @@
 """Property tests for the paper's exact invariants over random inputs.
 
-Each property is an identity the code must meet bit for bit, so every
-comparison is ``==``; the last property checks that every domain
-constructor rejects a non-finite float.  ``max_examples`` keeps each
-test well under 1 s.
+Most properties are identities the code must meet bit for bit, so the
+comparison is ``==``.  Two check inputs: every domain constructor
+rejects a non-finite float, and a numpy scalar gives the result of the
+float of the same value.  One checks that the half-space shift's
+reported error bounds its distance from the acceptance oracle.
+``max_examples`` keeps each test well under 1 s, and the error-bound
+property at about 1 s.
 """
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiral_vacuum import (
@@ -21,6 +25,7 @@ from chiral_vacuum import (
     ReactionProfile,
     Thermal,
     Transition,
+    chiral_shift_halfspace,
     chiral_shift_nonretarded,
     debye_shift_per_molecule,
     energy_unit_mev,
@@ -28,10 +33,15 @@ from chiral_vacuum import (
     london_shift,
     reflection_cross,
     selectivity,
+    selectivity_tst,
+    zero_point_frequency_shift,
 )
-from chiral_vacuum.pasteur import _transition_weights
+from chiral_vacuum.acceptance import oracle_dense_halfspace_shift
+from chiral_vacuum.pasteur import _shift_scaled, _transition_weights
 
 FAST = settings(max_examples=100, deadline=None)
+SLOW = settings(max_examples=8, deadline=None)
+PER_ENTRY = settings(max_examples=25, deadline=None)  # ten entries share one property
 
 gaps = st.floats(0.5, 10.0)
 strengths = st.floats(-1.0, 1.0).filter(lambda s: s != 0.0)
@@ -47,10 +57,25 @@ def _material(eps, mu, kappa_r):
     return PasteurMaterial(eps, mu, kappa_r * math.sqrt(eps * mu))
 
 
+def _rejected(mol, shift, *args):
+    """Whether a transition weight ImR_i/ImR_1 (E_i/E_1)^3 of ``mol``
+    overflows, as a subnormal ImR_1 can make it; if so, ``shift(*args)``
+    must raise, since no scaled shift exists."""
+    try:
+        _transition_weights(mol)
+    except ValueError:
+        with pytest.raises(ValueError, match="weight overflows"):
+            shift(*args)
+        return True
+    return False
+
+
 @FAST
 @given(z=distances, mol=molecules, eps=eps_mu, mu=eps_mu, kappa_r=kappa_rs)
 def test_nonretarded_scales_exactly_as_inverse_cube(z, mol, eps, mu, kappa_r):
     mat = _material(eps, mu, kappa_r)
+    if _rejected(mol, chiral_shift_nonretarded, z, mol, mat):
+        return
     assert chiral_shift_nonretarded(z, mol, mat) == chiral_shift_nonretarded(1.0, mol, mat) / z**3
 
 
@@ -59,8 +84,10 @@ def test_nonretarded_scales_exactly_as_inverse_cube(z, mol, eps, mu, kappa_r):
        c_prime=st.floats(1.0, 1e6))
 def test_nonretarded_shift_and_reflection_are_odd_in_kappa(z, mol, eps, mu, kappa_r, c_prime):
     plus, minus = _material(eps, mu, kappa_r), _material(eps, mu, -kappa_r)
-    assert chiral_shift_nonretarded(z, mol, minus) == -chiral_shift_nonretarded(z, mol, plus)
     assert reflection_cross(c_prime, minus) == -reflection_cross(c_prime, plus)
+    if _rejected(mol, chiral_shift_nonretarded, z, mol, plus):
+        return
+    assert chiral_shift_nonretarded(z, mol, minus) == -chiral_shift_nonretarded(z, mol, plus)
 
 
 @FAST
@@ -197,3 +224,72 @@ def test_domain_constructors_reject_non_finite_floats(cls, data, bad):
         value = tuple(value)
     with pytest.raises(ValueError):
         cls(**{**kwargs, name: value})
+
+
+@SLOW
+@given(z=distances, mol=molecules, eps=eps_mu, mu=eps_mu, kappa_r=kappa_rs)
+@example(z=1.7e-3, mol=MoleculeSpectrum.two_level(2.0, 0.1), eps=0.2, mu=5.0, kappa_r=1.0)
+@example(z=0.5, mol=MoleculeSpectrum.from_lists([2.0, 3.5], [0.1, -0.04]), eps=2.5, mu=1.3,
+         kappa_r=-1.0)
+def test_reported_error_bounds_the_distance_from_the_oracle(z, mol, eps, mu, kappa_r):
+    mat = _material(eps, mu, kappa_r)
+    if _rejected(mol, chiral_shift_halfspace, z, mol, mat):
+        return
+    # the shift_eunit and error_eunit of halfspace_sweep, which would also
+    # need an energy unit, and rejects a subnormal rotatory strength for it
+    [(shift, error, _)] = _shift_scaled([z], mol, mat)
+    value = estimate = 0.0
+    for gap_ratio, weight in _transition_weights(mol):
+        v, err = oracle_dense_halfspace_shift(z * gap_ratio, mat)
+        value += weight * v
+        estimate += abs(weight) * err
+    assert abs(shift - value) <= error + estimate
+
+
+_MOLECULE = MoleculeSpectrum.from_lists([2.0, 3.5], [0.1, -0.04])
+_MODES = CavityModeSet.ladder(0.1, 0.1, 10, veff_nm3=0.2, chirality_factor=-0.5)
+
+# Each public entry that takes floats: (number of floats, call).  A call
+# returns what it stores and what it computes from it.  The half-space
+# sweep runs at kappa = 0, where the quadrature is quick.
+_FLOAT_ENTRIES = {
+    "Transition": (2, lambda g, s: (Transition(g, s),
+                                    energy_unit_mev(MoleculeSpectrum.two_level(g, s)))),
+    "PasteurMaterial": (3, lambda e, m, k: (PasteurMaterial(e, m, k), chiral_shift_nonretarded(
+        1.0, _MOLECULE, PasteurMaterial(e, m, k)))),
+    "Thermal": (1, lambda t: (Thermal(t), Thermal(t).kbt_ev)),
+    "CavityMode": (3, lambda w, v, c: (CavityMode(w, v, c), london_shift(
+        CavityModeSet((CavityMode(w, v, c),)), _MOLECULE))),
+    "PolarizedEnsemble": (6, lambda *dm: (PolarizedEnsemble(dm[:3], dm[3:], 7),
+                                          debye_shift_per_molecule(
+                                              _MODES, PolarizedEnsemble(dm[:3], dm[3:], 7)))),
+    "ReactionProfile": (4, lambda *p: (ReactionProfile(*p),
+                                       zero_point_frequency_shift(ReactionProfile(*p)))),
+    "selectivity": (2, lambda de, t: selectivity(de, Thermal(t))),
+    "selectivity_tst": (2, lambda de, b: selectivity_tst(de, ReactionProfile(1.0, 0.1, b),
+                                                         Thermal(300.0))),
+    "chiral_shift_nonretarded": (1, lambda z: chiral_shift_nonretarded(
+        z, _MOLECULE, PasteurMaterial(2.0, 1.5, 0.6))),
+    "halfspace_sweep": (1, lambda z: halfspace_sweep([z], _MOLECULE, PasteurMaterial())),
+}
+
+
+def _outcome(call, args):
+    """repr of the result, which shows every bit and every type, or the
+    exception's type and message."""
+    try:
+        return repr(call(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", list(_FLOAT_ENTRIES))
+@PER_ENTRY
+@given(data=st.data(), np_type=st.sampled_from([np.float64, np.float32]))
+def test_numpy_scalar_gives_the_float_result(name, data, np_type):
+    n, call = _FLOAT_ENTRIES[name]
+    # floats the numpy type holds exactly; some drawn near the valid range
+    width = 32 if np_type is np.float32 else 64
+    values = data.draw(st.lists(st.floats(width=width) | st.floats(-16.0, 16.0, width=width),
+                                min_size=n, max_size=n))
+    assert _outcome(call, [np_type(v) for v in values]) == _outcome(call, values)
