@@ -24,7 +24,7 @@ in :class:`HalfspaceResult`.
 from __future__ import annotations
 
 import math
-from math import exp as _exp, sqrt as _sqrt
+from math import exp as _exp, inf as _inf, sqrt as _sqrt
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -139,12 +139,18 @@ def reflection_cross(c_prime, material: PasteurMaterial):
         r = -kappa_r 2 eta0 eta c' / ((eta0^2 + eta^2) c' + 2 eta0 eta c'_f),
         c'_f^2 = 1 + (c'^2 - 1) / (4 eps_r mu_r).
 
-    Accepts a scalar or ndarray c' >= 1.  A scalar c' at which the formula
-    overflows to NaN gets :func:`reflection_limit`: QUADPACK must not see NaN.
+    Accepts a scalar or ndarray c' >= 1; a c' below 1 or NaN raises
+    ``ValueError``.  A scalar c' at which the formula overflows gets
+    :func:`reflection_limit`: QUADPACK must not see the NaN, or the 0 of a
+    finite numerator over an infinite denominator, and r(c') is that limit
+    to every digit there.
 
-    A Python float or int (QUADPACK passes a float at every node) never
-    loads numpy.  Any other argument imports numpy here, at the first
-    such call, to tell an ndarray from a scalar such as ``np.float32``.
+    A Python float, which QUADPACK passes at every node, takes a body of
+    its own with the same expressions in the same order, so it returns the
+    same bits as the generic body below, which any other argument takes.
+    A float or int never loads numpy; any other argument imports numpy
+    here, at the first such call, to tell an ndarray from a scalar such as
+    ``np.float32``.
 
     Parameters
     ----------
@@ -157,29 +163,45 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     float or ndarray
     """
     kr, endpoint, eps_mu, plus_sq, minus_sq, two_eta, one_eta_sq, r_inf = material._reflection
+    if type(c_prime) is float:
+        if not c_prime >= 1.0:
+            raise ValueError(f"c_prime must be >= 1, got {c_prime}")
+        c_sq = c_prime * c_prime
+        t = (c_sq - 1.0) / eps_mu
+        if endpoint:
+            num = -kr * two_eta * c_prime
+            den = one_eta_sq * c_prime + two_eta * _sqrt(1.0 + t / 4.0)
+        else:
+            cp = _sqrt(1.0 + t / plus_sq)
+            cm = _sqrt(1.0 + t / minus_sq)
+            num = two_eta * c_prime * (cp - cm)
+            den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
+        return r_inf if den == _inf else num / den
     if isinstance(c_prime, (float, int)):
         sqrt = _sqrt
     else:
         import numpy as np
         sqrt = np.sqrt if isinstance(c_prime, np.ndarray) else _sqrt
     if sqrt is _sqrt:
-        if c_prime < 1.0:
+        if not c_prime >= 1.0:
             raise ValueError(f"c_prime must be >= 1, got {c_prime}")
-    elif np.any(c_prime < 1.0):
+    elif not np.all(c_prime >= 1.0):
         raise ValueError("c_prime must be >= 1")
     c_sq = c_prime * c_prime
     t = (c_sq - 1.0) / eps_mu
     if endpoint:
-        c_finite = sqrt(1.0 + t / 4.0)
-        return -kr * two_eta * c_prime / (one_eta_sq * c_prime + two_eta * c_finite)
-    cp = sqrt(1.0 + t / plus_sq)
-    cm = sqrt(1.0 + t / minus_sq)
-    num = two_eta * c_prime * (cp - cm)
-    den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
-    r = num / den
-    if sqrt is _sqrt and r != r:  # an intermediate overflowed: c'^2 / (eps_r mu_r) is huge
+        num = -kr * two_eta * c_prime
+        den = one_eta_sq * c_prime + two_eta * sqrt(1.0 + t / 4.0)
+    else:
+        cp = sqrt(1.0 + t / plus_sq)
+        cm = sqrt(1.0 + t / minus_sq)
+        num = two_eta * c_prime * (cp - cm)
+        den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
+    # den, a sum of positive terms, overflows wherever an intermediate does
+    # (c'^2 / (eps_r mu_r) is huge); num / den is then NaN, or 0 for a finite num
+    if sqrt is _sqrt and den == _inf:
         return r_inf
-    return r
+    return num / den
 
 
 def reflection_limit(material: PasteurMaterial) -> float:
@@ -256,6 +278,10 @@ def _outer_integral(a: float, material: PasteurMaterial, kernel: dict,
 
     pts = sorted({p for p in (a, 3 * a, 10 * a, 30 * a, 100 * a, 300 * a)
                   if 0.0 < p < T_CUTOFF})
+    # Decades up to T_CUTOFF / 1e4: for a below ~1e-7 the 21-point rule
+    # on one interval [300 a, T_CUTOFF] misses the 1/x^2 tail of f.
+    while pts and T_CUTOFF > 1e4 * pts[-1]:
+        pts.append(10.0 * pts[-1])
     val, err, failure = _quad(f, 0.0, T_CUTOFF, rel_tol, ABS_TOL, points=pts)
     if failure is None and inner_failure is not None:
         failure = f"inner quadrature: {inner_failure}"
@@ -286,27 +312,30 @@ def length_unit_nm(molecule: MoleculeSpectrum) -> float:
 
 
 def _transition_weights(molecule: MoleculeSpectrum):
-    # weights and scaled gaps relative to the first transition
+    """(E_i/E_1, ImR_i/ImR_1) of each transition i; ``ValueError`` if ImR_1
+    is 0 while another strength is not, or if a weight ImR_i/ImR_1 (E_i/E_1)^3
+    overflows."""
     t0 = molecule.transitions[0]
     out = []
     for t in molecule.transitions:
         gap_ratio = t.gap_ev / t0.gap_ev
         if t0.im_rot_strength != 0.0:
+            strength_ratio = t.im_rot_strength / t0.im_rot_strength
             try:
-                weight = (t.im_rot_strength / t0.im_rot_strength) * gap_ratio**3
+                weight = strength_ratio * gap_ratio**3
             except OverflowError:
                 raise ValueError(f"gap ratio {t.gap_ev!r} / {t0.gap_ev!r} is out of range: "
                                  "its cube overflows") from None
-            if math.isinf(weight):
+            if not math.isfinite(weight):  # NaN when the strength ratio overflows, inf * 0
                 raise ValueError(f"rotatory strength {t.im_rot_strength!r} against "
                                  f"{t0.im_rot_strength!r} is out of range: the transition "
                                  "weight overflows")
         elif t.im_rot_strength == 0.0:
-            weight = 0.0
+            strength_ratio = 0.0
         else:
             raise ValueError("first transition has zero rotatory strength; the scaled "
                              "energy unit is undefined for this spectrum")
-        out.append((gap_ratio, weight))
+        out.append((gap_ratio, strength_ratio))
     return out
 
 
@@ -314,6 +343,11 @@ def _shift_scaled(z_grid: Sequence[float], molecule: MoleculeSpectrum,
                   material: PasteurMaterial, rel_tol: float = REL_TOL):
     """Yield (shift, error estimate, first failure message or None) at each z
     of ``z_grid``, in units of the first transition's energy scale.
+
+    Transition i adds (ImR_i/ImR_1) (E_i/E_1) I(a)/z^2 at a = z E_i/E_1.
+    Its weight (ImR_i/ImR_1) (E_i/E_1)^3 is never formed: that underflows
+    for E_i/E_1 below ~1e-108, while the transition's near-field share
+    (pi/8) r_inf (ImR_i/ImR_1) / z^3 does not.
 
     All transitions and points share one x -> g(x) dict of :func:`_outer_integral`,
     made here because it holds for one (material, rel_tol) pair only.  g(x)
@@ -324,21 +358,27 @@ def _shift_scaled(z_grid: Sequence[float], molecule: MoleculeSpectrum,
     for z in map(float, z_grid):
         if not z > 0.0:
             raise ValueError(f"z must be positive, got {z}")
+        # the first transition has a = z, so the a^2 check below also keeps z^2 > 0
+        z_sq = z * z
         total = 0.0
         total_err = 0.0
         failure = None
-        for gap_ratio, weight in _transition_weights(molecule):
-            if weight == 0.0:
+        for gap_ratio, strength_ratio in _transition_weights(molecule):
+            if strength_ratio == 0.0:
                 continue
             a = z * gap_ratio
             a_sq = a * a
             if a_sq == 0.0:
                 raise ValueError(f"z = {z!r} is out of range: ({a!r})**2 underflows to 0")
             val, err, message = _outer_integral(a, material, kernel, rel_tol)
+            if not math.isfinite(val):  # g(x) / (a^2 + x^2) overflows where a^2 is subnormal
+                raise ValueError(f"z = {z!r} is out of range: the integral at a = {a!r} "
+                                 "overflows")
             if failure is None:
                 failure = message
-            total += weight * val / a_sq
-            total_err += abs(weight) * err / a_sq
+            coeff = strength_ratio * gap_ratio
+            total += coeff * val / z_sq
+            total_err += abs(coeff) * err / z_sq
         yield total, total_err, failure
 
 

@@ -93,18 +93,24 @@ def _near_remainder_bound(a, mat, r_inf, d):
     counts with its error estimate added."""
     sliver = sum(quad(lambda b: b * b * _phi(b), 0.0, 2.0 * a, epsabs=0.0)[:2])
 
+    # below U0, |r - r_inf| / u^2 stays within 1 % of |d| (within 6e-5
+    # against 50-digit arithmetic over kappa_r, eps_r, mu_r)
     def tail(u):
         b = 2.0 * a / u
-        return ((1.0 - u * u) * abs(reflection_cross(1.0 / u, mat) - r_inf) / (u * u)
-                * min(1.0, b * b * _phi(b)))
+        excess = (1.01 * abs(d) if u < U0
+                  else abs(reflection_cross(1.0 / u, mat) - r_inf) / (u * u))
+        return (1.0 - u * u) * excess * min(1.0, b * b * _phi(b))
 
-    # below u0, b > 1 and the min is 1; there |r - r_inf| / u^2 stays within
-    # 1 % of |d| (within 6e-5 against 50-digit arithmetic over kappa_r, eps_r, mu_r)
+    # below u0, b > 1 and the min is 1
     u0 = min(U0, 2.0 * a)
+    # U0, the kink, then decades: the tail falls as 1/u^2 from u ~ 2a up to 1
+    points = {U0} if u0 < U0 else set()
     kink = 2.0 * a / B_STAR
+    while kink < 1.0:
+        points.add(kink)
+        kink *= 10.0
     tail_bound = 1.01 * abs(d) * u0 + sum(quad(
-        tail, u0, 1.0, epsabs=0.0, epsrel=1e-4, points=(kink,) if kink < 1.0 else None,
-        limit=200)[:2])
+        tail, u0, 1.0, epsabs=0.0, epsrel=1e-4, points=sorted(points) or None, limit=200)[:2])
     return abs(r_inf) / (8.0 * a) * (sliver + 2.0 * math.pi * a * a) + 0.25 * tail_bound
 
 
@@ -143,6 +149,15 @@ def test_asymptote_coefficients_of_the_reference_materials(mat, s1, c6_over_c4):
 @example(z=1e-4, mol=ONE_TRANSITION, mat=REFERENCE[0])
 @example(z=1e-3, mol=ONE_TRANSITION, mat=REFERENCE[1])
 @example(z=1e-3, mol=ONE_TRANSITION, mat=REFERENCE[2])
+@example(z=1e-7, mol=ONE_TRANSITION, mat=REFERENCE[0])
+@example(z=1e-7, mol=ONE_TRANSITION, mat=REFERENCE[1])
+@example(z=1e-7, mol=ONE_TRANSITION, mat=REFERENCE[2])
+@example(z=1e-12, mol=ONE_TRANSITION, mat=REFERENCE[0])
+@example(z=1e-12, mol=ONE_TRANSITION, mat=REFERENCE[1])
+@example(z=1e-12, mol=ONE_TRANSITION, mat=REFERENCE[2])
+@example(z=1e-40, mol=ONE_TRANSITION, mat=REFERENCE[0])
+@example(z=1e-40, mol=ONE_TRANSITION, mat=REFERENCE[1])
+@example(z=1e-40, mol=ONE_TRANSITION, mat=REFERENCE[2])
 def test_near_field_is_nonretarded_plus_s1_term(z, mol, mat):
     r_inf, j, _, _, _, d = _coefficients(mat)
     (point,) = halfspace_sweep([z], mol, mat)

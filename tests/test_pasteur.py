@@ -74,10 +74,13 @@ def test_reflection_vanishes_without_chirality():
 def test_reflection_where_the_formula_overflows_is_the_limit():
     # c'^2 / (eps_r mu_r) beyond the float range: inf - inf would reach QUADPACK
     for mat in [VACUUMLIKE, PasteurMaterial(2.25, 1.1, -0.7), PasteurMaterial(1.0, 1.0, 0.0)]:
-        for c in (1e155, 1e300):
+        for c in (5e153, 1e155, 1e300):  # at 5e153 den overflows while num does not
             r = reflection_cross(c, mat)
             assert r == reflection_limit(mat)
             assert math.copysign(1.0, r) == math.copysign(1.0, reflection_limit(mat))
+    endpoint = PasteurMaterial(2.0, 3.0, math.sqrt(6.0))  # kappa_r = 1
+    for c in (1e155, 1e300):
+        assert reflection_cross(c, endpoint) == reflection_limit(endpoint)
     # a kappa = 0 shift down to z = 1e-160 stays exactly +0.0, and an
     # eps_r mu_r near underflow computes (a NaN node can crash QUADPACK)
     for z in (1e-150, 1e-160):
@@ -128,10 +131,11 @@ def test_reflection_endpoint_is_the_limit_of_nearby_kappa():
 
 
 def test_reflection_rejects_cprime_below_one():
-    with pytest.raises(ValueError):
-        reflection_cross(0.99, VACUUMLIKE)
-    with pytest.raises(ValueError):
-        reflection_cross(np.array([1.5, 0.5]), VACUUMLIKE)
+    # NaN too, which the overflow guard would otherwise turn into the c' -> inf limit
+    for arg in (0.99, math.nan, np.float64("nan"), np.array([1.5, 0.5]),
+                np.array([1.5, math.nan])):
+        with pytest.raises(ValueError):
+            reflection_cross(arg, VACUUMLIKE)
 
 
 def test_reflection_dispatch_keeps_the_value_bits_and_type_of_each_argument_kind():
@@ -220,10 +224,14 @@ def test_material_constants_stay_out_of_the_dataclass_surface():
 @example(eps=10.0, mu=0.1, kappa_r=-1.0, c_prime=1e6)
 @example(eps=2.0, mu=3.0, kappa_r=0.0, c_prime=3.0)
 def test_reflection_vectorized_matches_scalar(eps, mu, kappa_r, c_prime):
-    # kappa_r * n / n never rounds past |kappa_r|, and is exact at +-1
+    # kappa_r * n / n never rounds past |kappa_r|, and is exact at +-1.  The
+    # float body, the generic scalar body (np.float64) and the array body
+    # give the same bits.
     mat = PasteurMaterial(eps, mu, kappa_r * math.sqrt(eps * mu))
     (vec,) = reflection_cross(np.array([c_prime]), mat)
-    assert vec == reflection_cross(c_prime, mat)
+    bits = {float(r).hex() for r in (vec, reflection_cross(c_prime, mat),
+                                     reflection_cross(np.float64(c_prime), mat))}
+    assert len(bits) == 1, bits
 
 
 # ------------------------------------------------------- nonretarded law
@@ -324,6 +332,28 @@ def test_scaled_shifts_reject_an_overflowing_transition_weight(strengths, materi
     for shift in (chiral_shift_halfspace, chiral_shift_nonretarded):
         with pytest.raises(ValueError, match=message):
             shift(1.0, mol, material)
+
+
+def test_a_transition_whose_weight_underflows_keeps_its_near_field_share():
+    # ImR_2/ImR_1 (E_2/E_1)^3 underflows to 0 below E_2/E_1 ~ 1e-108, but the
+    # second transition still adds (pi/8) r_inf ImR_2/ImR_1 / z^3
+    one = chiral_shift_halfspace(1.0, MOL, VACUUMLIKE)
+    shifts = [chiral_shift_halfspace(
+        1.0, MoleculeSpectrum.from_lists([2.0, 2.0 * ratio], [0.1, 0.1]), VACUUMLIKE)
+        for ratio in (1e-100, 1e-110, 1e-140)]
+    assert shifts == pytest.approx([shifts[0]] * 3, rel=1e-12)
+    assert shifts[0] - one == pytest.approx(chiral_shift_nonretarded(1.0, MOL, VACUUMLIKE),
+                                            rel=1e-12)
+    # ImR_2/ImR_1 overflows while (E_2/E_1)^3 underflows: the weight is inf * 0
+    mol = MoleculeSpectrum.from_lists([2.0, 2e-110], [1e-200, 1e200])
+    with pytest.raises(ValueError, match="weight overflows"):
+        chiral_shift_halfspace(1.0, mol, VACUUMLIKE)
+    # a^2 subnormal: the outer integrand g(x) / (a^2 + x^2) overflows, below
+    # a ~ 1e-155 at kappa = 0.4 and ~ 1e-160 at kappa = 1e-10
+    for gap, kappa in [(2e-155, 0.4), (2e-161, 1e-10)]:
+        mol = MoleculeSpectrum.from_lists([2.0, gap], [0.1, 0.1])
+        with pytest.raises(ValueError, match="out of range: the integral at a = "):
+            chiral_shift_halfspace(1.0, mol, PasteurMaterial(1.0, 1.0, kappa))
 
 
 def test_multi_transition_superposition():

@@ -160,14 +160,14 @@ def test_halfspace_scales_are_odd_under_mirror_and_linear_in_im_r(z, mol, eps, m
     mat = _material(eps, mu, kappa_r)
 
     def values(m):
-        # energy unit and non-retarded shift in meV; the weights carry no ImR scale
+        # energy unit and non-retarded shift in meV; the ratios carry no ImR scale
         e_mev = energy_unit_mev(m)
         return e_mev, chiral_shift_nonretarded(z, m, mat) * e_mev, _transition_weights(m)
 
-    e_mev, nonretarded_mev, weights = values(mol)
-    assert values(mol.mirror()) == (-e_mev, -nonretarded_mev, weights)
+    e_mev, nonretarded_mev, ratios = values(mol)
+    assert values(mol.mirror()) == (-e_mev, -nonretarded_mev, ratios)
     assert values(_scaled(mol, k)) == (math.ldexp(e_mev, k), math.ldexp(nonretarded_mev, k),
-                                       weights)
+                                       ratios)
 
 
 def test_sweep_shift_mev_is_odd_under_mirror_and_linear_in_im_r():
@@ -239,7 +239,8 @@ def test_reported_error_bounds_the_distance_from_the_oracle(z, mol, eps, mu, kap
     # need an energy unit, and rejects a subnormal rotatory strength for it
     [(shift, error, _)] = _shift_scaled([z], mol, mat)
     value = estimate = 0.0
-    for gap_ratio, weight in _transition_weights(mol):
+    for gap_ratio, strength_ratio in _transition_weights(mol):
+        weight = strength_ratio * gap_ratio**3
         v, err = oracle_dense_halfspace_shift(z * gap_ratio, mat)
         value += weight * v
         estimate += abs(weight) * err
