@@ -142,15 +142,16 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     Accepts a scalar or ndarray c' >= 1; a c' below 1 or NaN raises
     ``ValueError``.  A scalar c' at which the formula overflows gets
     :func:`reflection_limit`: QUADPACK must not see the NaN, or the 0 of a
-    finite numerator over an infinite denominator, and r(c') is that limit
-    to every digit there.
+    finite numerator over an infinite denominator.  Where the overflow
+    comes from a huge c' (c'^2 / (eps_r mu_r) overflows because c' is
+    above ~1e8), r(c') is that limit to every digit.
 
-    A Python float, which QUADPACK passes at every node, takes a body of
-    its own with the same expressions in the same order, so it returns the
-    same bits as the generic body below, which any other argument takes.
-    A float or int never loads numpy; any other argument imports numpy
-    here, at the first such call, to tell an ndarray from a scalar such as
-    ``np.float32``.
+    Every scalar takes one ``math.sqrt`` body, so a Python float, which
+    QUADPACK passes at every node, pays a single type check; only an
+    ndarray takes the ``np.sqrt`` body, with the same expressions in the
+    same order.  A float or int never loads numpy; any other argument
+    imports numpy here, at the first such call, to tell an ndarray from a
+    scalar such as ``np.float32``.
 
     Parameters
     ----------
@@ -163,45 +164,37 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     float or ndarray
     """
     kr, endpoint, eps_mu, plus_sq, minus_sq, two_eta, one_eta_sq, r_inf = material._reflection
-    if type(c_prime) is float:
-        if not c_prime >= 1.0:
-            raise ValueError(f"c_prime must be >= 1, got {c_prime}")
-        c_sq = c_prime * c_prime
-        t = (c_sq - 1.0) / eps_mu
-        if endpoint:
-            num = -kr * two_eta * c_prime
-            den = one_eta_sq * c_prime + two_eta * _sqrt(1.0 + t / 4.0)
-        else:
-            cp = _sqrt(1.0 + t / plus_sq)
-            cm = _sqrt(1.0 + t / minus_sq)
-            num = two_eta * c_prime * (cp - cm)
-            den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
-        return r_inf if den == _inf else num / den
-    if isinstance(c_prime, (float, int)):
-        sqrt = _sqrt
-    else:
+    if type(c_prime) is not float and not isinstance(c_prime, int):
         import numpy as np
-        sqrt = np.sqrt if isinstance(c_prime, np.ndarray) else _sqrt
-    if sqrt is _sqrt:
-        if not c_prime >= 1.0:
-            raise ValueError(f"c_prime must be >= 1, got {c_prime}")
-    elif not np.all(c_prime >= 1.0):
-        raise ValueError("c_prime must be >= 1")
+        if isinstance(c_prime, np.ndarray):
+            if not np.all(c_prime >= 1.0):
+                raise ValueError("c_prime must be >= 1")
+            c_sq = c_prime * c_prime
+            t = (c_sq - 1.0) / eps_mu
+            if endpoint:
+                num = -kr * two_eta * c_prime
+                den = one_eta_sq * c_prime + two_eta * np.sqrt(1.0 + t / 4.0)
+            else:
+                cp = np.sqrt(1.0 + t / plus_sq)
+                cm = np.sqrt(1.0 + t / minus_sq)
+                num = two_eta * c_prime * (cp - cm)
+                den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
+            return num / den
+    if not c_prime >= 1.0:
+        raise ValueError(f"c_prime must be >= 1, got {c_prime}")
     c_sq = c_prime * c_prime
     t = (c_sq - 1.0) / eps_mu
     if endpoint:
         num = -kr * two_eta * c_prime
-        den = one_eta_sq * c_prime + two_eta * sqrt(1.0 + t / 4.0)
+        den = one_eta_sq * c_prime + two_eta * _sqrt(1.0 + t / 4.0)
     else:
-        cp = sqrt(1.0 + t / plus_sq)
-        cm = sqrt(1.0 + t / minus_sq)
+        cp = _sqrt(1.0 + t / plus_sq)
+        cm = _sqrt(1.0 + t / minus_sq)
         num = two_eta * c_prime * (cp - cm)
         den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
-    # den, a sum of positive terms, overflows wherever an intermediate does
-    # (c'^2 / (eps_r mu_r) is huge); num / den is then NaN, or 0 for a finite num
-    if sqrt is _sqrt and den == _inf:
-        return r_inf
-    return num / den
+    # den, a sum of positive terms, overflows wherever an intermediate does;
+    # num / den is then NaN, or 0 for a finite num
+    return r_inf if den == _inf else num / den
 
 
 def reflection_limit(material: PasteurMaterial) -> float:

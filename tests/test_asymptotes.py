@@ -158,6 +158,9 @@ def test_asymptote_coefficients_of_the_reference_materials(mat, s1, c6_over_c4):
 @example(z=1e-40, mol=ONE_TRANSITION, mat=REFERENCE[0])
 @example(z=1e-40, mol=ONE_TRANSITION, mat=REFERENCE[1])
 @example(z=1e-40, mol=ONE_TRANSITION, mat=REFERENCE[2])
+@example(z=1e-100, mol=ONE_TRANSITION, mat=REFERENCE[0])
+@example(z=1e-100, mol=ONE_TRANSITION, mat=REFERENCE[1])
+@example(z=1e-100, mol=ONE_TRANSITION, mat=REFERENCE[2])
 def test_near_field_is_nonretarded_plus_s1_term(z, mol, mat):
     r_inf, j, _, _, _, d = _coefficients(mat)
     (point,) = halfspace_sweep([z], mol, mat)

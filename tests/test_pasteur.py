@@ -225,7 +225,7 @@ def test_material_constants_stay_out_of_the_dataclass_surface():
 @example(eps=2.0, mu=3.0, kappa_r=0.0, c_prime=3.0)
 def test_reflection_vectorized_matches_scalar(eps, mu, kappa_r, c_prime):
     # kappa_r * n / n never rounds past |kappa_r|, and is exact at +-1.  The
-    # float body, the generic scalar body (np.float64) and the array body
+    # scalar body, with float or np.float64 arithmetic, and the array body
     # give the same bits.
     mat = PasteurMaterial(eps, mu, kappa_r * math.sqrt(eps * mu))
     (vec,) = reflection_cross(np.array([c_prime]), mat)
