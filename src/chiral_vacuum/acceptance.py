@@ -65,10 +65,11 @@ def _first_inner_edge(material: PasteurMaterial) -> float:
 
 def _graded_gauss_legendre(z: float, material: PasteurMaterial, m: int) -> float:
     """Scaled shift of one transition at distance z, in the original (x, c')
-    variables: x on [0, 1e-9] and m geometric panels to T, and for each x,
+    variables: x on [0, x0] and m geometric panels to T, with x0 the smaller
+    of 1e-9 and z/1000, below the integrand's scale z; and for each x,
     v = c' - 1 on [0, v0] and m geometric panels to T/x."""
     rule = np.polynomial.legendre.leggauss(8)
-    [x], [wx] = _graded_panels(np.array([1e-9]), np.array([_T_CUTOFF]), m, rule)
+    [x], [wx] = _graded_panels(np.array([min(1e-9, 1e-3 * z)]), np.array([_T_CUTOFF]), m, rule)
     v0 = _first_inner_edge(material)
     inner = np.empty_like(x)
     for i in range(0, len(x), 64):  # blocks of 64 x rows stay in cache

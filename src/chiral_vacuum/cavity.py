@@ -48,12 +48,8 @@ class CavityMode:
     chirality_factor: float
 
     def __post_init__(self):
-        _store_floats(self, "omega_ev", "veff_nm3", "chirality_factor")
-        if not 0.0 < self.omega_ev < math.inf:
-            raise ValueError(f"mode frequency must be positive and finite, got {self.omega_ev}")
-        if not 0.0 < self.veff_nm3 < math.inf:
-            raise ValueError(
-                f"effective volume must be positive and finite, got {self.veff_nm3}")
+        _store_floats(self, "omega_ev", "veff_nm3", "chirality_factor",
+                      positive=("omega_ev", "veff_nm3"))
         if not abs(self.chirality_factor) <= 0.5:
             raise ValueError(
                 f"chirality factor must lie in [-1/2, 1/2], got {self.chirality_factor}"

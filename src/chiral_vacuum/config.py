@@ -179,39 +179,22 @@ REGISTRY: dict[str, ParamSpec] = {
     "output.format": ParamSpec(_choice("csv", "json"), "csv", "output format: csv or json"),
 }
 
-_OUTPUT_KEYS = ("output.path", "output.format")
-
-COMMAND_KEYS: dict[str, tuple[str, ...]] = {
-    "pasteur": (
-        "material.eps_r", "material.mu_r", "material.kappa",
-        "molecule.gap_ev", "molecule.im_rot_strength",
-        "sweep.z_min", "sweep.z_max", "sweep.z_points", "sweep.z_scale",
-        "sweep.z_list",
-    ) + _OUTPUT_KEYS,
-    "cavity": (
-        "cavity.modes", "cavity.veff_nm3", "cavity.chirality_factor",
-        "cavity.modes_detailed",
-        "molecule.gap_ev", "molecule.im_rot_strength",
-        "thermal.temperature_k",
-    ) + _OUTPUT_KEYS,
-    "debye": (
-        "cavity.modes", "cavity.veff_nm3", "cavity.chirality_factor",
-        "cavity.modes_detailed",
-        "ensemble.d00", "ensemble.m00", "ensemble.n_molecules",
-        "thermal.temperature_k", "sweep.n_list",
-    ) + _OUTPUT_KEYS,
-    "selectivity": (
-        "sweep.delta_e_mev", "thermal.temperatures",
-    ) + _OUTPUT_KEYS,
-    "tst": (
-        "sweep.delta_e_mev", "thermal.temperatures",
-        "profile.barrier_ev", "profile.omega_nu_ev",
-        "profile.curvature_b_ev3", "profile.mass_amu",
-    ) + _OUTPUT_KEYS,
-    "verify": _OUTPUT_KEYS,
+# Each command's help line and key groups.  A group is a REGISTRY key or a
+# prefix of keys; a command takes the keys of its groups in this order,
+# each group in REGISTRY order, then the "output." keys.
+COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "pasteur": ("distance sweep of the half-space chiral shift",
+                ("material.", "molecule.", "sweep.z_")),
+    "cavity": ("per-mode and total London shifts with thermal ratios",
+               ("cavity.", "molecule.", "thermal.temperature_k")),
+    "debye": ("collective Debye shift of a polarized ensemble",
+              ("cavity.", "ensemble.", "thermal.temperature_k", "sweep.n_list")),
+    "selectivity": ("chirality-selective rate over shift and temperature grids",
+                    ("sweep.delta_e_mev", "thermal.temperatures")),
+    "tst": ("selectivity with the transition-state zero-point correction",
+            ("sweep.delta_e_mev", "thermal.temperatures", "profile.")),
+    "verify": ("run the built-in acceptance suite", ()),
 }
-
-COMMANDS = tuple(COMMAND_KEYS)
 
 
 @dataclass(frozen=True)
@@ -275,13 +258,14 @@ def parse_config(argv: list[str]) -> RunConfig:
     if not argv:
         raise ConfigError(f"missing command; expected one of {', '.join(COMMANDS)}")
     command = argv[0]
-    if command not in COMMAND_KEYS:
+    if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
 
     flags = _split_flags(argv[1:])
     config_path, _ = flags.pop("config", (None, None))
 
-    allowed = COMMAND_KEYS[command]
+    allowed = [key for group in COMMANDS[command][1] + ("output.",)
+               for key in REGISTRY if key.startswith(group)]
     resolved: dict[str, tuple[str, Optional[int]]] = {
         key: (REGISTRY[key].default, None) for key in allowed
     }
@@ -318,12 +302,7 @@ def usage() -> str:
         "usage: chiral-vacuum COMMAND [--config FILE] [--dotted.key value ...]",
         "",
         "commands:",
-        "  pasteur      distance sweep of the half-space chiral shift",
-        "  cavity       per-mode and total London shifts with thermal ratios",
-        "  debye        collective Debye shift of a polarized ensemble",
-        "  selectivity  chirality-selective rate over shift and temperature grids",
-        "  tst          selectivity with the transition-state zero-point correction",
-        "  verify       run the built-in acceptance suite",
+        *(f"  {command:<12} {help_line}" for command, (help_line, _) in COMMANDS.items()),
         "",
         "keys (defaults in parentheses):",
     ]

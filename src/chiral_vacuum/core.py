@@ -8,12 +8,17 @@ from dataclasses import dataclass
 from .units import BOLTZMANN_EV
 
 
-def _store_floats(obj, *names: str) -> None:
+def _store_floats(obj, *names: str, positive: tuple[str, ...] = ()) -> None:
     """Store each named field of the frozen dataclass ``obj`` as a Python
     float, so that a numpy scalar computes, fails and prints as the float
-    of the same value."""
+    of the same value.  Every field must be finite, and those in
+    ``positive`` also > 0; a ``ValueError`` names the field."""
     for name in names:
-        object.__setattr__(obj, name, float(getattr(obj, name)))
+        value = float(getattr(obj, name))
+        if not (0.0 < value < math.inf if name in positive else math.isfinite(value)):
+            rule = "positive and finite" if name in positive else "finite"
+            raise ValueError(f"{name} must be {rule}, got {value}")
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -33,12 +38,7 @@ class Transition:
     im_rot_strength: float
 
     def __post_init__(self):
-        _store_floats(self, "gap_ev", "im_rot_strength")
-        if not 0.0 < self.gap_ev < math.inf:
-            raise ValueError(f"transition gap must be positive and finite, got {self.gap_ev}")
-        if not math.isfinite(self.im_rot_strength):
-            raise ValueError(
-                f"rotatory strength must be finite, got {self.im_rot_strength}")
+        _store_floats(self, "gap_ev", "im_rot_strength", positive=("gap_ev",))
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class Thermal:
 
     def __post_init__(self):
         _store_floats(self, "temperature_k")
-        if not 0.0 <= self.temperature_k < math.inf:
-            raise ValueError(f"temperature must be finite and >= 0 K, got {self.temperature_k}")
+        if not self.temperature_k >= 0.0:
+            raise ValueError(f"temperature_k must be >= 0, got {self.temperature_k}")
         if self.temperature_k > 0.0 and self.kbt_ev == 0.0:
             raise ValueError(f"k_B*T underflows to 0 at {self.temperature_k} K")
 

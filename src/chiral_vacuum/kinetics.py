@@ -54,15 +54,8 @@ class ReactionProfile:
     mass_amu: float = 12.0
 
     def __post_init__(self):
-        _store_floats(self, "barrier_ev", "omega_nu_ev", "curvature_b_ev3", "mass_amu")
-        if not 0.0 < self.barrier_ev < math.inf:
-            raise ValueError(f"barrier must be positive and finite, got {self.barrier_ev}")
-        if not 0.0 < self.omega_nu_ev < math.inf:
-            raise ValueError(f"omega_nu must be positive and finite, got {self.omega_nu_ev}")
-        if not math.isfinite(self.curvature_b_ev3):
-            raise ValueError(f"curvature b must be finite, got {self.curvature_b_ev3}")
-        if not 0.0 < self.mass_amu < math.inf:
-            raise ValueError(f"mass must be positive and finite, got {self.mass_amu}")
+        _store_floats(self, "barrier_ev", "omega_nu_ev", "curvature_b_ev3", "mass_amu",
+                      positive=("barrier_ev", "omega_nu_ev", "mass_amu"))
         omega_sq = self.omega_nu_ev * self.omega_nu_ev
         if not 0.0 < omega_sq < math.inf:
             raise ValueError(f"omega_nu {self.omega_nu_ev!r} eV is out of range: its square "

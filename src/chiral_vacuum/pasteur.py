@@ -60,11 +60,7 @@ class PasteurMaterial:
     kappa: float = 0.0
 
     def __post_init__(self):
-        _store_floats(self, "eps_r", "mu_r", "kappa")
-        if not 0.0 < self.eps_r < math.inf:
-            raise ValueError(f"eps_r must be positive and finite, got {self.eps_r}")
-        if not 0.0 < self.mu_r < math.inf:
-            raise ValueError(f"mu_r must be positive and finite, got {self.mu_r}")
+        _store_floats(self, "eps_r", "mu_r", "kappa", positive=("eps_r", "mu_r"))
         if not 0.0 < self.eps_r * self.mu_r < math.inf:
             raise ValueError(
                 f"eps_r * mu_r must be positive and finite, got {self.eps_r * self.mu_r}"
@@ -140,11 +136,10 @@ def reflection_cross(c_prime, material: PasteurMaterial):
         c'_f^2 = 1 + (c'^2 - 1) / (4 eps_r mu_r).
 
     Accepts a scalar or ndarray c' >= 1; a c' below 1 or NaN raises
-    ``ValueError``.  A scalar c' at which the formula overflows gets
-    :func:`reflection_limit`: QUADPACK must not see the NaN, or the 0 of a
-    finite numerator over an infinite denominator.  Where the overflow
-    comes from a huge c' (c'^2 / (eps_r mu_r) overflows because c' is
-    above ~1e8), r(c') is that limit to every digit.
+    ``ValueError``.  Where the formula overflows (its denominator is
+    infinite), :func:`_reflection_overflowed` evaluates it in scaled
+    variables instead, so neither QUADPACK nor an array sees the NaN, or
+    the 0 of a finite numerator over an infinite denominator.
 
     Every scalar takes one ``math.sqrt`` body, so a Python float, which
     QUADPACK passes at every node, pays a single type check; only an
@@ -169,17 +164,23 @@ def reflection_cross(c_prime, material: PasteurMaterial):
         if isinstance(c_prime, np.ndarray):
             if not np.all(c_prime >= 1.0):
                 raise ValueError("c_prime must be >= 1")
-            c_sq = c_prime * c_prime
-            t = (c_sq - 1.0) / eps_mu
-            if endpoint:
-                num = -kr * two_eta * c_prime
-                den = one_eta_sq * c_prime + two_eta * np.sqrt(1.0 + t / 4.0)
-            else:
-                cp = np.sqrt(1.0 + t / plus_sq)
-                cm = np.sqrt(1.0 + t / minus_sq)
-                num = two_eta * c_prime * (cp - cm)
-                den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
-            return num / den
+            with np.errstate(over="ignore", invalid="ignore"):
+                c_sq = c_prime * c_prime
+                t = (c_sq - 1.0) / eps_mu
+                if endpoint:
+                    num = -kr * two_eta * c_prime
+                    den = one_eta_sq * c_prime + two_eta * np.sqrt(1.0 + t / 4.0)
+                else:
+                    cp = np.sqrt(1.0 + t / plus_sq)
+                    cm = np.sqrt(1.0 + t / minus_sq)
+                    num = two_eta * c_prime * (cp - cm)
+                    den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
+                r = num / den
+            over = den == _inf
+            if over.any():
+                r = np.array(r)  # a 0-d result is a scalar, and only an array takes items
+                r[over] = [_reflection_overflowed(c, material) for c in c_prime[over].tolist()]
+            return r[()]
     if not c_prime >= 1.0:
         raise ValueError(f"c_prime must be >= 1, got {c_prime}")
     c_sq = c_prime * c_prime
@@ -194,7 +195,34 @@ def reflection_cross(c_prime, material: PasteurMaterial):
         den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
     # den, a sum of positive terms, overflows wherever an intermediate does;
     # num / den is then NaN, or 0 for a finite num
-    return r_inf if den == _inf else num / den
+    return _reflection_overflowed(c_prime, material) if den == _inf else num / den
+
+
+def _reflection_overflowed(c_prime, material: PasteurMaterial) -> float:
+    """r(c') of :func:`reflection_cross` where its direct formula overflows.
+
+    Numerator and denominator are multiplied by s_+ s_- / ((1 + eta^2) c'^2 n),
+    with s_+- = n (1 +- kappa_r) and n = sqrt(eps_r mu_r), so every term
+    stays in range: p = s_+ c'_+ / c' = hypot(s_+ / c', q) and likewise m,
+    with q^2 = 1 - 1/c'^2, and c'_+ - c'_- is taken as a difference of
+    squares.  Where c' is above 1e8 times each scale 1, s_+ and s_-, r is
+    :func:`reflection_limit` to every digit, and at kappa_r = 0 it is 0.0;
+    that limit is returned there.
+    """
+    kr, endpoint, *_, r_inf = material._reflection
+    n = math.sqrt(material.eps_r) * math.sqrt(material.mu_r)
+    if kr == 0.0 or c_prime > 1e8 * max(1.0, 2.0 * n):
+        return r_inf
+    eta = material.impedance_ratio
+    e = 2.0 / (eta + 1.0 / eta)  # 2 eta / (1 + eta^2), which cannot overflow
+    q_sq = (c_prime - 1.0) / c_prime * ((c_prime + 1.0) / c_prime)
+    q = math.sqrt(q_sq)
+    if endpoint:
+        return -kr * e / (1.0 + e * math.hypot(1.0 / c_prime, q / (2.0 * n)))
+    p = math.hypot(n * (1.0 + kr) / c_prime, q)
+    m = math.hypot(n * (1.0 - kr) / c_prime, q)
+    g = p * (1.0 - kr) + m * (1.0 + kr)  # (p s_- + m s_+) / n
+    return -4.0 * e * kr * q_sq / (g * (g + e * (n * (1.0 - kr) * (1.0 + kr) + p * (m / n))))
 
 
 def reflection_limit(material: PasteurMaterial) -> float:

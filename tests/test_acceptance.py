@@ -56,3 +56,15 @@ def test_oracle_matches_the_benchmark_reference(z, eps_r, mu_r, kappa_r):
     value, _ = acceptance.oracle_dense_halfspace_shift(z, PasteurMaterial(eps_r, mu_r, kappa))
     ref, _ = reference.halfspace_shift(z, eps_r, mu_r, kappa, [2.0], [0.1])
     assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("z", [1e-12, 1e-20])
+def test_oracle_resolves_distances_far_below_its_old_first_x_panel(z):
+    # a << 1e-9: the x axis must start below z, or the oracle loses the
+    # x ~ z part of the integrand (it had been 91 % and 100 % off here)
+    material = PasteurMaterial(1.0, 1.0, 0.4)
+    value, estimate = acceptance.oracle_dense_halfspace_shift(z, material)
+    [(shift, _, failure)] = pasteur._shift_scaled([z], acceptance._TWO_LEVEL, material)
+    assert failure is None
+    assert abs(value - shift) <= 1e-9 * abs(shift)
+    assert abs(value - shift) <= estimate

@@ -1,5 +1,6 @@
 import pytest
 
+from chiral_vacuum import cli, config
 from chiral_vacuum.config import ConfigError, parse_config
 
 
@@ -157,3 +158,82 @@ def test_raw_echo_reflects_resolution(tmp_path):
     assert cfg.raw["material.kappa"] == "0.4"
     assert cfg.raw["material.eps_r"] == "2.0"
     assert cfg.raw["material.mu_r"] == "1.0"  # default
+
+
+# Each command's keys, in the order of the resolved values and the echo.
+_COMMAND_KEYS = {
+    "pasteur": ("material.eps_r", "material.mu_r", "material.kappa",
+                "molecule.gap_ev", "molecule.im_rot_strength",
+                "sweep.z_min", "sweep.z_max", "sweep.z_points", "sweep.z_scale",
+                "sweep.z_list", "output.path", "output.format"),
+    "cavity": ("cavity.modes", "cavity.veff_nm3", "cavity.chirality_factor",
+               "cavity.modes_detailed", "molecule.gap_ev", "molecule.im_rot_strength",
+               "thermal.temperature_k", "output.path", "output.format"),
+    "debye": ("cavity.modes", "cavity.veff_nm3", "cavity.chirality_factor",
+              "cavity.modes_detailed", "ensemble.d00", "ensemble.m00",
+              "ensemble.n_molecules", "thermal.temperature_k", "sweep.n_list",
+              "output.path", "output.format"),
+    "selectivity": ("sweep.delta_e_mev", "thermal.temperatures",
+                    "output.path", "output.format"),
+    "tst": ("sweep.delta_e_mev", "thermal.temperatures", "profile.barrier_ev",
+            "profile.omega_nu_ev", "profile.curvature_b_ev3", "profile.mass_amu",
+            "output.path", "output.format"),
+    "verify": ("output.path", "output.format"),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_KEYS))
+def test_each_command_resolves_its_keys_in_order(command):
+    assert tuple(parse_config([command]).values) == _COMMAND_KEYS[command]
+
+
+def test_commands_are_the_runners_in_order():
+    assert tuple(config.COMMANDS) == tuple(_COMMAND_KEYS)
+    assert set(cli._RUNNERS) == set(config.COMMANDS)
+
+
+_USAGE = """\
+usage: chiral-vacuum COMMAND [--config FILE] [--dotted.key value ...]
+
+commands:
+  pasteur      distance sweep of the half-space chiral shift
+  cavity       per-mode and total London shifts with thermal ratios
+  debye        collective Debye shift of a polarized ensemble
+  selectivity  chirality-selective rate over shift and temperature grids
+  tst          selectivity with the transition-state zero-point correction
+  verify       run the built-in acceptance suite
+
+keys (defaults in parentheses):
+  --cavity.chirality_factor ('-0.5'): e_k.(e_R x e_I); -1/2 left-handed circular
+  --cavity.modes ('0.1:0.1:1.0'): mode frequencies in eV (start:step:stop or list)
+  --cavity.modes_detailed (''): per-mode override, JSON list of {"omega_ev","veff_nm3","chirality_factor"}
+  --cavity.veff_nm3 ('0.2'): effective mode volume in nm^3
+  --ensemble.d00 ('0.2,0,0'): permanent electric dipole in e*a0
+  --ensemble.m00 ('0,1,0'): permanent magnetic dipole in mu_B
+  --ensemble.n_molecules ('100'): ignored: debye takes N from sweep.n_list
+  --material.eps_r ('1.0'): relative permittivity
+  --material.kappa ('0.0'): Pasteur parameter
+  --material.mu_r ('1.0'): relative permeability
+  --molecule.gap_ev ('2.0'): transition gaps in eV (comma list)
+  --molecule.im_rot_strength ('0.1'): imaginary rotatory strengths in e*a0*mu_B (comma list)
+  --output.format ('csv'): output format: csv or json
+  --output.path ('-'): output file, - for stdout
+  --profile.barrier_ev ('1.0'): barrier height in eV
+  --profile.curvature_b_ev3 ('0.0'): curvature perturbation b in eV^3
+  --profile.mass_amu ('12.0'): effective mass in amu
+  --profile.omega_nu_ev ('0.1'): reactant vibrational quantum in eV
+  --sweep.delta_e_mev ('-100:5:100'): energy-shift grid in meV
+  --sweep.n_list ('1,10,100'): molecule counts for the collective sweep
+  --sweep.z_list (''): explicit z list (overrides min/max)
+  --sweep.z_max ('2.0'): sweep end, multiples of z_unit
+  --sweep.z_min ('0.1'): sweep start, multiples of z_unit
+  --sweep.z_points ('50'): number of sweep points
+  --sweep.z_scale ('linear'): z spacing: linear or log
+  --thermal.temperature_k ('300'): temperature in K
+  --thermal.temperatures ('200,300,400'): temperature list in K for sweeps
+"""
+
+
+def test_help_text_is_pinned(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out == _USAGE

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -218,20 +220,62 @@ def test_material_constants_stay_out_of_the_dataclass_surface():
 
 @settings(max_examples=200, deadline=None)
 @given(eps=st.floats(0.1, 10.0), mu=st.floats(0.1, 10.0), kappa_r=st.floats(-1.0, 1.0),
-       c_prime=st.floats(1.0, 1e6))
-@example(eps=1.0, mu=1.0, kappa_r=0.4, c_prime=1.5)
-@example(eps=0.1, mu=10.0, kappa_r=1.0, c_prime=1.0)
-@example(eps=10.0, mu=0.1, kappa_r=-1.0, c_prime=1e6)
-@example(eps=2.0, mu=3.0, kappa_r=0.0, c_prime=3.0)
-def test_reflection_vectorized_matches_scalar(eps, mu, kappa_r, c_prime):
+       c_prime=st.floats(1.0, 1e6) | st.floats(1.0, 1e300),
+       tiny=st.sampled_from([1.0, 1e-140, 1e-155]), skew=st.sampled_from([1.0, 1e150]))
+@example(eps=1.0, mu=1.0, kappa_r=0.4, c_prime=1.5, tiny=1.0, skew=1.0)
+@example(eps=0.1, mu=10.0, kappa_r=1.0, c_prime=1.0, tiny=1.0, skew=1.0)
+@example(eps=10.0, mu=0.1, kappa_r=-1.0, c_prime=1e6, tiny=1.0, skew=1.0)
+@example(eps=2.0, mu=3.0, kappa_r=0.0, c_prime=3.0, tiny=1.0, skew=1.0)
+@example(eps=1.0, mu=1.0, kappa_r=0.4, c_prime=1e154, tiny=1.0, skew=1.0)
+@example(eps=1.0, mu=1.0, kappa_r=0.4, c_prime=1.01, tiny=1e-155, skew=1.0)
+@example(eps=1.0, mu=1.0, kappa_r=0.4, c_prime=1e5, tiny=1.0, skew=1e150)
+def test_reflection_vectorized_matches_scalar(eps, mu, kappa_r, c_prime, tiny, skew):
     # kappa_r * n / n never rounds past |kappa_r|, and is exact at +-1.  The
     # scalar body, with float or np.float64 arithmetic, and the array body
-    # give the same bits.
+    # give the same bits, also where the formula overflows: at a huge c',
+    # or at moderate c' for a tiny eps_r mu_r or a large mu_r / eps_r.
+    eps, mu = eps * tiny / skew, mu * tiny * skew
     mat = PasteurMaterial(eps, mu, kappa_r * math.sqrt(eps * mu))
     (vec,) = reflection_cross(np.array([c_prime]), mat)
-    bits = {float(r).hex() for r in (vec, reflection_cross(c_prime, mat),
-                                     reflection_cross(np.float64(c_prime), mat))}
+    with np.errstate(over="ignore", invalid="ignore"):  # np.float64 scalars warn
+        scalar64 = reflection_cross(np.float64(c_prime), mat)
+    bits = {float(r).hex() for r in (vec, reflection_cross(c_prime, mat), scalar64)}
     assert len(bits) == 1, bits
+
+
+def _reflection_decimal(c_prime: float, material: PasteurMaterial) -> Decimal:
+    """r(c') from the formula of reflection_cross in 60-digit decimals, at
+    the material's eps_r, mu_r and kappa_r."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c, eps, mu = Decimal(c_prime), Decimal(material.eps_r), Decimal(material.mu_r)
+        kr = Decimal(material.kappa_r)
+        eta, t = (mu / eps).sqrt(), (c * c - 1) / (eps * mu)
+        if abs(kr) == 1:
+            return -kr * 2 * eta * c / ((1 + eta * eta) * c + 2 * eta * (1 + t / 4).sqrt())
+        cp, cm = (1 + t / (1 + kr) ** 2).sqrt(), (1 + t / (1 - kr) ** 2).sqrt()
+        return 2 * eta * c * (cp - cm) / ((1 + eta * eta) * c * (cp + cm)
+                                          + 2 * eta * (c * c + cp * cm))
+
+
+@pytest.mark.parametrize("mat", [
+    VACUUMLIKE,  # c'^2 overflows above 1.3e154
+    PasteurMaterial(1e-155, 1e-155, 0.4e-155),  # eps_r mu_r = 1e-310: t overflows at c' = 1.01
+    PasteurMaterial(1e-150, 1e-150, 0.4e-150),
+    PasteurMaterial(1e-150, 1e150, 0.4),  # mu_r / eps_r = 1e300: den overflows at c' = 1e4
+    PasteurMaterial(1e-140, 1e-140, (1.0 - 1e-12) * 1e-140),  # 1 - kappa_r = 1e-12
+    PasteurMaterial(1e-155, 1e-155, math.sqrt(1e-155 * 1e-155)),  # kappa_r = 1
+    PasteurMaterial(1e150, 1e-150, -1.0),  # kappa_r = -1, mu_r / eps_r = 1e-300
+], ids=repr)
+def test_reflection_where_the_formula_overflows_matches_a_60_digit_evaluation(mat):
+    grid = sorted({1.0, 1.01, 1.5, 1.34e4, *np.geomspace(1.0, 1e300, 301).tolist()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from the array body
+        vec = reflection_cross(np.array(grid), mat)
+    for c, r_vec in zip(grid, vec):
+        exact = _reflection_decimal(c, mat)
+        for r in (reflection_cross(c, mat), float(r_vec)):
+            assert abs(Decimal(r) - exact) <= Decimal(1e-12) * abs(exact), (c, r, exact)
 
 
 # ------------------------------------------------------- nonretarded law
@@ -404,6 +448,7 @@ def test_sweep_unit_fields_self_consistent():
     for r in res:
         assert r.shift_mev == r.shift_eunit * e_mev
         assert r.nonretarded_mev == r.nonretarded_eunit * e_mev
+        assert r.error_mev == r.error_eunit * abs(e_mev)
         assert r.error_eunit >= 0.0
 
 

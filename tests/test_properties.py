@@ -226,6 +226,26 @@ def test_domain_constructors_reject_non_finite_floats(cls, data, bad):
         cls(**{**kwargs, name: value})
 
 
+# The fields each domain constructor requires to be positive.
+_POSITIVE_FIELDS = [
+    (Transition, "gap_ev"), (PasteurMaterial, "eps_r"), (PasteurMaterial, "mu_r"),
+    (CavityMode, "omega_ev"), (CavityMode, "veff_nm3"),
+    (ReactionProfile, "barrier_ev"), (ReactionProfile, "omega_nu_ev"),
+    (ReactionProfile, "mass_amu"),
+]
+
+
+@pytest.mark.parametrize("cls,name", _POSITIVE_FIELDS,
+                         ids=lambda v: v if isinstance(v, str) else v.__name__)
+@FAST
+@given(data=st.data(), bad=st.sampled_from([0.0, -0.0, -5e-324, -1.0, -2.0, -1e300]))
+def test_domain_constructors_reject_zero_and_negative_positive_fields(cls, name, data, bad):
+    kwargs = data.draw(_VALID_KWARGS[cls])
+    cls(**kwargs)
+    with pytest.raises(ValueError, match=name):
+        cls(**{**kwargs, name: bad})
+
+
 @SLOW
 @given(z=distances, mol=molecules, eps=eps_mu, mu=eps_mu, kappa_r=kappa_rs)
 @example(z=1.7e-3, mol=MoleculeSpectrum.two_level(2.0, 0.1), eps=0.2, mu=5.0, kappa_r=1.0)
