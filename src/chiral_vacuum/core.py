@@ -15,7 +15,7 @@ def _store_floats(obj, *names: str, positive: tuple[str, ...] = ()) -> None:
     ``positive`` also > 0; a ``ValueError`` names the field."""
     for name in names:
         value = float(getattr(obj, name))
-        if not (0.0 < value < math.inf if name in positive else math.isfinite(value)):
+        if not math.isfinite(value) or (name in positive and value <= 0.0):
             rule = "positive and finite" if name in positive else "finite"
             raise ValueError(f"{name} must be {rule}, got {value}")
         object.__setattr__(obj, name, value)

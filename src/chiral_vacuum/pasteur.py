@@ -143,8 +143,7 @@ def reflection_cross(c_prime, material: PasteurMaterial):
 
     Every scalar takes one ``math.sqrt`` body, so a Python float, which
     QUADPACK passes at every node, pays a single type check; only an
-    ndarray takes the ``np.sqrt`` body, with the same expressions in the
-    same order.  A float or int never loads numpy; any other argument
+    ndarray takes the ``np.sqrt`` body, :func:`_reflection_array`.  A float or int never loads numpy; any other argument
     imports numpy here, at the first such call, to tell an ndarray from a
     scalar such as ``np.float32``.
 
@@ -162,25 +161,7 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     if type(c_prime) is not float and not isinstance(c_prime, int):
         import numpy as np
         if isinstance(c_prime, np.ndarray):
-            if not np.all(c_prime >= 1.0):
-                raise ValueError("c_prime must be >= 1")
-            with np.errstate(over="ignore", invalid="ignore"):
-                c_sq = c_prime * c_prime
-                t = (c_sq - 1.0) / eps_mu
-                if endpoint:
-                    num = -kr * two_eta * c_prime
-                    den = one_eta_sq * c_prime + two_eta * np.sqrt(1.0 + t / 4.0)
-                else:
-                    cp = np.sqrt(1.0 + t / plus_sq)
-                    cm = np.sqrt(1.0 + t / minus_sq)
-                    num = two_eta * c_prime * (cp - cm)
-                    den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
-                r = num / den
-            over = den == _inf
-            if over.any():
-                r = np.array(r)  # a 0-d result is a scalar, and only an array takes items
-                r[over] = [_reflection_overflowed(c, material) for c in c_prime[over].tolist()]
-            return r[()]
+            return _reflection_array(c_prime, material)
     if not c_prime >= 1.0:
         raise ValueError(f"c_prime must be >= 1, got {c_prime}")
     c_sq = c_prime * c_prime
@@ -196,6 +177,34 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     # den, a sum of positive terms, overflows wherever an intermediate does;
     # num / den is then NaN, or 0 for a finite num
     return _reflection_overflowed(c_prime, material) if den == _inf else num / den
+
+
+def _reflection_array(c_prime, material: PasteurMaterial):
+    """The ndarray body of :func:`reflection_cross`, with its expressions
+    in the same order.  A function of its own: inside reflection_cross,
+    its ``with`` block slowed the float path, where it never runs, by
+    10-20 % (CPython 3.11)."""
+    import numpy as np
+    kr, endpoint, eps_mu, plus_sq, minus_sq, two_eta, one_eta_sq, _ = material._reflection
+    if not np.all(c_prime >= 1.0):
+        raise ValueError("c_prime must be >= 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_sq = c_prime * c_prime
+        t = (c_sq - 1.0) / eps_mu
+        if endpoint:
+            num = -kr * two_eta * c_prime
+            den = one_eta_sq * c_prime + two_eta * np.sqrt(1.0 + t / 4.0)
+        else:
+            cp = np.sqrt(1.0 + t / plus_sq)
+            cm = np.sqrt(1.0 + t / minus_sq)
+            num = two_eta * c_prime * (cp - cm)
+            den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
+        r = num / den
+    over = den == _inf
+    if over.any():
+        r = np.array(r)  # a 0-d result is a scalar, and only an array takes items
+        r[over] = [_reflection_overflowed(c, material) for c in c_prime[over].tolist()]
+    return r[()]
 
 
 def _reflection_overflowed(c_prime, material: PasteurMaterial) -> float:
