@@ -160,7 +160,7 @@ def test_raw_echo_reflects_resolution(tmp_path):
     assert cfg.raw["material.mu_r"] == "1.0"  # default
 
 
-# Each command's keys, in the order of the resolved values and the echo.
+# Each command's keys, in the order parse_config resolves them.
 _COMMAND_KEYS = {
     "pasteur": ("material.eps_r", "material.mu_r", "material.kappa",
                 "molecule.gap_ev", "molecule.im_rot_strength",
