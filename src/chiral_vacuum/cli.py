@@ -235,11 +235,7 @@ def run(config: RunConfig) -> tuple[SweepOutput, int]:
 
 def _non_finite_field(out: SweepOutput) -> Optional[str]:
     """Name of the first column or note holding a NaN or infinite float, else None."""
-    try:  # fast path: the sum of all cells is finite only if every cell is
-        rows = () if math.isfinite(sum(map(sum, out.rows))) else out.rows
-    except (TypeError, OverflowError):  # None cells, or huge ints
-        rows = out.rows
-    named = [(c.name, v) for row in rows for c, v in zip(out.columns, row)] + list(out.notes)
+    named = [(c.name, v) for row in out.rows for c, v in zip(out.columns, row)] + list(out.notes)
     return next((name for name, v in named if isinstance(v, float) and not math.isfinite(v)), None)
 
 
@@ -261,12 +257,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ArithmeticError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    bad = _non_finite_field(out)
-    if bad is not None:
-        print(f"error: non-finite result in {bad!r}", file=sys.stderr)
+    try:  # the encoders reject a NaN or infinite cell or note
+        text = render(out, config["output.format"])
+    except ValueError:
+        print(f"error: non-finite result in {_non_finite_field(out)!r}", file=sys.stderr)
         return 1
-
-    text = render(out, config["output.format"])
     path = config["output.path"]
     if path == "-":
         sys.stdout.write(text)

@@ -10,6 +10,7 @@ import pytest
 import chiral_vacuum
 from chiral_vacuum import Thermal, acceptance, bose_occupation, cli, pasteur
 from chiral_vacuum.cli import main
+from chiral_vacuum.config import parse_config
 from chiral_vacuum.output import to_json
 
 
@@ -355,6 +356,25 @@ def test_none_cells_are_not_non_finite():
     assert cli._non_finite_field(out) is None
     out.rows.append((math.inf,))
     assert cli._non_finite_field(out) == "ratio"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pasteur"], ["cavity"], ["debye"], ["selectivity"], ["tst"], ["verify"],
+    ["cavity", "--cavity.modes", "1.0,2.5"],  # a resonant mode: no London ratio
+], ids=" ".join)
+def test_every_runner_writes_rows_of_int_float_or_none(argv, capsys):
+    # The renderers serve only this traffic (tests/test_output.py): one or
+    # more non-empty tuples of int (not bool), finite float or None, and
+    # notes of int, finite float or str.
+    out, code = cli.run(parse_config(argv))
+    assert code == 0 and len(out.rows) >= 1
+    assert all(type(row) is tuple and len(row) == len(out.columns) >= 1 for row in out.rows)
+    cells = [v for row in out.rows for v in row]
+    assert all(v is None or type(v) is int or type(v) is float and math.isfinite(v)
+               for v in cells)
+    assert all(type(v) in (int, str) or type(v) is float and math.isfinite(v)
+               for _, v in out.notes)
+    assert (None in cells) == (argv[-1] == "1.0,2.5")
 
 
 def test_json_rejects_nan_cells_and_renders_none_as_null():
