@@ -76,10 +76,12 @@ class PasteurMaterial:
             )
         # The per-material constants of reflection_cross, which QUADPACK
         # calls once per node.  Not a dataclass field, so repr, ==, hash
-        # and replace() see only the three parameters.
-        eta = self.impedance_ratio
+        # and replace() see only the three parameters.  sq_diff is
+        # (c'_+^2 - c'_-^2) / t; its + 0.0 makes kappa = -0.0 give +0.0.
+        eta, endpoint = self.impedance_ratio, abs(kr) == 1.0
         object.__setattr__(self, "_reflection", (
-            kr, abs(kr) == 1.0, self.eps_r * self.mu_r, (1.0 + kr) ** 2, (1.0 - kr) ** 2,
+            kr, endpoint, self.eps_r * self.mu_r, (1.0 + kr) ** 2, (1.0 - kr) ** 2,
+            0.0 if endpoint else -4.0 * kr / ((1.0 - kr) * (1.0 + kr)) ** 2 + 0.0,
             2.0 * eta, 1.0 + eta * eta, reflection_limit(self),
         ))
 
@@ -128,9 +130,15 @@ def reflection_cross(c_prime, material: PasteurMaterial):
                  + 2 eta0 eta (c'^2 + c'_+ c'_-),
         c'_{+-}^2 = 1 + (c'^2 - 1) / (eps_r mu_r (1 +- kappa_r)^2),
 
-    with positive square roots.  Odd in kappa; at kappa = 0, c'_+ = c'_-
-    exactly, so r = +0.0.  At kappa_r = +-1 one of c'_{+-} is infinite
-    and r takes its finite limit
+    with positive square roots.  Both differences are taken without
+    cancellation: c'^2 - 1 as (c' - 1)(c' + 1), and
+
+        c'_+ - c'_- = -4 kappa_r t / ((1 - kappa_r)(1 + kappa_r))^2 / (c'_+ + c'_-),
+        t = (c'^2 - 1) / (eps_r mu_r),
+
+    so a small kappa_r or a c' near 1 keeps every digit.  Exactly odd in
+    kappa; at kappa = 0, r = +0.0.  At kappa_r = +-1 one of c'_{+-} is
+    infinite and r takes its finite limit
 
         r = -kappa_r 2 eta0 eta c' / ((eta0^2 + eta^2) c' + 2 eta0 eta c'_f),
         c'_f^2 = 1 + (c'^2 - 1) / (4 eps_r mu_r).
@@ -143,9 +151,10 @@ def reflection_cross(c_prime, material: PasteurMaterial):
 
     Every scalar takes one ``math.sqrt`` body, so a Python float, which
     QUADPACK passes at every node, pays a single type check; only an
-    ndarray takes the ``np.sqrt`` body, :func:`_reflection_array`.  A float or int never loads numpy; any other argument
-    imports numpy here, at the first such call, to tell an ndarray from a
-    scalar such as ``np.float32``.
+    ndarray takes the ``np.sqrt`` body, :func:`_reflection_array`.  A
+    float or int never loads numpy; any other argument imports numpy
+    here, at the first such call, to tell an ndarray from a scalar such
+    as ``np.float32``.
 
     Parameters
     ----------
@@ -157,23 +166,23 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     -------
     float or ndarray
     """
-    kr, endpoint, eps_mu, plus_sq, minus_sq, two_eta, one_eta_sq, r_inf = material._reflection
+    kr, endpoint, eps_mu, plus_sq, minus_sq, sq_diff, two_eta, one_eta_sq, _ = material._reflection
     if type(c_prime) is not float and not isinstance(c_prime, int):
         import numpy as np
         if isinstance(c_prime, np.ndarray):
             return _reflection_array(c_prime, material)
     if not c_prime >= 1.0:
         raise ValueError(f"c_prime must be >= 1, got {c_prime}")
-    c_sq = c_prime * c_prime
-    t = (c_sq - 1.0) / eps_mu
+    t = (c_prime - 1.0) * (c_prime + 1.0) / eps_mu
     if endpoint:
         num = -kr * two_eta * c_prime
         den = one_eta_sq * c_prime + two_eta * _sqrt(1.0 + t / 4.0)
     else:
         cp = _sqrt(1.0 + t / plus_sq)
         cm = _sqrt(1.0 + t / minus_sq)
-        num = two_eta * c_prime * (cp - cm)
-        den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
+        cp_cm = cp + cm
+        num = two_eta * c_prime * (sq_diff * (t / cp_cm))
+        den = one_eta_sq * c_prime * cp_cm + two_eta * (c_prime * c_prime + cp * cm)
     # den, a sum of positive terms, overflows wherever an intermediate does;
     # num / den is then NaN, or 0 for a finite num
     return _reflection_overflowed(c_prime, material) if den == _inf else num / den
@@ -185,20 +194,20 @@ def _reflection_array(c_prime, material: PasteurMaterial):
     its ``with`` block slowed the float path, where it never runs, by
     10-20 % (CPython 3.11)."""
     import numpy as np
-    kr, endpoint, eps_mu, plus_sq, minus_sq, two_eta, one_eta_sq, _ = material._reflection
+    kr, endpoint, eps_mu, plus_sq, minus_sq, sq_diff, two_eta, one_eta_sq, _ = material._reflection
     if not np.all(c_prime >= 1.0):
         raise ValueError("c_prime must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
-        c_sq = c_prime * c_prime
-        t = (c_sq - 1.0) / eps_mu
+        t = (c_prime - 1.0) * (c_prime + 1.0) / eps_mu
         if endpoint:
             num = -kr * two_eta * c_prime
             den = one_eta_sq * c_prime + two_eta * np.sqrt(1.0 + t / 4.0)
         else:
             cp = np.sqrt(1.0 + t / plus_sq)
             cm = np.sqrt(1.0 + t / minus_sq)
-            num = two_eta * c_prime * (cp - cm)
-            den = one_eta_sq * c_prime * (cp + cm) + two_eta * (c_sq + cp * cm)
+            cp_cm = cp + cm
+            num = two_eta * c_prime * (sq_diff * (t / cp_cm))
+            den = one_eta_sq * c_prime * cp_cm + two_eta * (c_prime * c_prime + cp * cm)
         r = num / den
     over = den == _inf
     if over.any():
@@ -246,6 +255,9 @@ def reflection_limit(material: PasteurMaterial) -> float:
     eta = material.impedance_ratio
     num = -4.0 * eta * kr * n
     den = 2.0 * (1.0 + eta * eta) * n + 2.0 * eta * (n * n * (1.0 - kr * kr) + 1.0)
+    if den == math.inf:  # both divided by n, which keeps den finite
+        num = -4.0 * eta * kr
+        den = 2.0 * (1.0 + eta * eta) + 2.0 * eta * (n * (1.0 - kr * kr) + 1.0 / n)
     return num / den
 
 

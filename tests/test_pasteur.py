@@ -78,6 +78,10 @@ def test_reflection_where_the_formula_overflows_is_the_limit():
     for mat in [VACUUMLIKE, PasteurMaterial(2.25, 1.1, -0.7), PasteurMaterial(1.0, 1.0, 0.0)]:
         for c in (5e153, 1e155, 1e300):  # at 5e153 den overflows while num does not
             r = reflection_cross(c, mat)
+            if mat.eps_r == 2.25 and c == 5e153:  # den is 1.1e308: the formula holds
+                exact = _reflection_decimal(c, mat)
+                assert abs(Decimal(r) - exact) <= Decimal(1e-15) * abs(exact)
+                continue
             assert r == reflection_limit(mat)
             assert math.copysign(1.0, r) == math.copysign(1.0, reflection_limit(mat))
     endpoint = PasteurMaterial(2.0, 3.0, math.sqrt(6.0))  # kappa_r = 1
@@ -109,6 +113,13 @@ def test_reflection_limit_closed_form():
     endpoint = PasteurMaterial(2.0, 3.0, math.sqrt(6.0))  # kappa_r = 1
     assert reflection_limit(endpoint) == pytest.approx(
         float(reflection_cross(1e8, endpoint)), rel=1e-7)
+
+
+def test_reflection_limit_where_its_direct_denominator_overflows():
+    # n^2 (1 - kappa_r^2) = 9.1e307 and den = 1.8e308: the limit had been -0.0
+    mat = PasteurMaterial(1e154, 1e154, 3e153)
+    assert reflection_limit(mat) == pytest.approx(-6.593406593406593e-155, rel=1e-15)
+    assert chiral_shift_nonretarded(1.0, MOL, mat) < 0.0
 
 
 def test_reflection_odd_in_kappa():
@@ -144,8 +155,8 @@ def test_reflection_dispatch_keeps_the_value_bits_and_type_of_each_argument_kind
     # float, int and np.float64 take the math.sqrt branch with its NaN guard,
     # an ndarray (0-d included) the numpy branch.  The values and types are
     # those of the version that imported numpy at module level.
-    mat = PasteurMaterial(2.0, 1.5, 0.5)
-    r_17, r_2 = float.fromhex("-0x1.e825d68328282p-5"), float.fromhex("-0x1.33cef2758346ep-4")
+    mat = PasteurMaterial(2.0, 1.5, 0.5)  # both are the 60-digit values, rounded
+    r_17, r_2 = float.fromhex("-0x1.e825d68328289p-5"), float.fromhex("-0x1.33cef2758346ep-4")
     for arg, kind, value in [
         (1.7, float, r_17),
         (2, float, r_2),
@@ -157,7 +168,8 @@ def test_reflection_dispatch_keeps_the_value_bits_and_type_of_each_argument_kind
     r = reflection_cross(np.array([1.7, 2.0]), mat)
     assert type(r) is np.ndarray and r.dtype == np.float64
     assert [float(v).hex() for v in r] == [r_17.hex(), r_2.hex()]
-    with np.errstate(over="ignore"):  # c'^2 overflows: the scalar guard returns the limit
+    # c'^2 overflows, and t / (c'_+ + c'_-) is inf / inf: the scalar guard returns the limit
+    with np.errstate(over="ignore", invalid="ignore"):
         r = reflection_cross(np.float64(1e300), mat)
     assert type(r) is float and r == reflection_limit(mat)
 
@@ -169,13 +181,13 @@ def _reflection_cross_per_call(c_prime, material):
         return np.zeros_like(c_prime) if isinstance(c_prime, np.ndarray) else 0.0
     sqrt = np.sqrt if isinstance(c_prime, np.ndarray) else math.sqrt
     eta = material.impedance_ratio
-    t = (c_prime * c_prime - 1.0) / (material.eps_r * material.mu_r)
+    t = (c_prime - 1.0) * (c_prime + 1.0) / (material.eps_r * material.mu_r)
     if kr == 1.0 or kr == -1.0:
         c_finite = sqrt(1.0 + t / 4.0)
         return -kr * 2.0 * eta * c_prime / ((1.0 + eta * eta) * c_prime + 2.0 * eta * c_finite)
     cp = sqrt(1.0 + t / (1.0 + kr) ** 2)
     cm = sqrt(1.0 + t / (1.0 - kr) ** 2)
-    num = 2.0 * eta * c_prime * (cp - cm)
+    num = 2.0 * eta * c_prime * (-4.0 * kr / ((1.0 - kr) * (1.0 + kr)) ** 2 * (t / (cp + cm)))
     den = (1.0 + eta * eta) * c_prime * (cp + cm) + 2.0 * eta * (c_prime * c_prime + cp * cm)
     return num / den
 
@@ -276,6 +288,28 @@ def test_reflection_where_the_formula_overflows_matches_a_60_digit_evaluation(ma
         exact = _reflection_decimal(c, mat)
         for r in (reflection_cross(c, mat), float(r_vec)):
             assert abs(Decimal(r) - exact) <= Decimal(1e-12) * abs(exact), (c, r, exact)
+
+
+@pytest.mark.parametrize("kappa_r", [1e-20, 1e-12, 1e-6, -1e-12])
+@pytest.mark.parametrize("eps,mu", [(1.0, 1.0), (2.25, 1.1)])
+def test_reflection_keeps_its_digits_at_small_kappa_and_near_cprime_one(kappa_r, eps, mu):
+    # c'_+ - c'_- and c'^2 - 1 are taken without cancellation
+    mat = PasteurMaterial(eps, mu, kappa_r * math.sqrt(eps * mu))
+    grid = [1.0 + 1e-7, 1.0001, 3.0, 1e8]
+    for c, r_vec in zip(grid, reflection_cross(np.array(grid), mat)):
+        exact = _reflection_decimal(c, mat)
+        for r in (reflection_cross(c, mat), float(r_vec)):
+            assert abs(Decimal(r) - exact) <= Decimal(2e-15) * abs(exact), (c, r, exact)
+
+
+def test_shift_at_tiny_kappa_is_kappa_times_its_slope():
+    # the shift is odd in kappa, so kappa S1 is right to O(kappa^3); a
+    # cancelling r(c') had given 0.0 with a 0.0 error from kappa = 1e-17
+    s1 = chiral_shift_halfspace(0.5, MOL, PasteurMaterial(1.0, 1.0, 1e-6)) / 1e-6
+    for kappa in (1e-8, 1e-12, 1e-16, 1e-17, 1e-100, 1e-300):
+        [r] = halfspace_sweep([0.5], MOL, PasteurMaterial(1.0, 1.0, kappa))
+        assert r.shift_eunit * s1 > 0.0 and r.warning is None
+        assert abs(r.shift_eunit - kappa * s1) <= r.error_eunit, kappa
 
 
 # ------------------------------------------------------- nonretarded law
