@@ -79,10 +79,9 @@ def test_renderers_equal_the_cell_by_cell_encoders(table, notes):
 @settings(max_examples=50, deadline=None)
 @given(table=tables, notes=notes, bad=st.sampled_from([math.nan, math.inf, -math.inf]),
        data=st.data())
-@example(table=(1, [(None,)]), notes=[], bad=math.nan, data=None)
 def test_a_non_finite_cell_or_note_raises_in_both_formats(table, notes, bad, data):
     width, rows = table
-    if data is None or data.draw(st.booleans(), label="in a note"):
+    if data.draw(st.booleans(), label="in a note"):
         notes = notes + [("energy_unit_meV", bad)]
     else:
         i = data.draw(st.integers(0, len(rows) - 1), label="row")
