@@ -76,12 +76,12 @@ class PasteurMaterial:
             )
         # The per-material constants of reflection_cross, which QUADPACK
         # calls once per node.  Not a dataclass field, so repr, ==, hash
-        # and replace() see only the three parameters.  sq_diff is
-        # (c'_+^2 - c'_-^2) / t; its + 0.0 makes kappa = -0.0 give +0.0.
+        # and replace() see only the three parameters.  k_diff is
+        # 2 eta (c'_+^2 - c'_-^2) / t; its + 0.0 makes kappa = -0.0 give +0.0.
         eta, endpoint = self.impedance_ratio, abs(kr) == 1.0
         object.__setattr__(self, "_reflection", (
             kr, endpoint, self.eps_r * self.mu_r, (1.0 + kr) ** 2, (1.0 - kr) ** 2,
-            0.0 if endpoint else -4.0 * kr / ((1.0 - kr) * (1.0 + kr)) ** 2 + 0.0,
+            0.0 if endpoint else 2.0 * eta * (-4.0 * kr / ((1.0 - kr) * (1.0 + kr)) ** 2) + 0.0,
             2.0 * eta, 1.0 + eta * eta, reflection_limit(self),
         ))
 
@@ -166,26 +166,29 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     -------
     float or ndarray
     """
-    kr, endpoint, eps_mu, plus_sq, minus_sq, sq_diff, two_eta, one_eta_sq, _ = material._reflection
+    kr, endpoint, eps_mu, plus_sq, minus_sq, k_diff, two_eta, one_eta_sq, _ = material._reflection
     if type(c_prime) is not float and not isinstance(c_prime, int):
         import numpy as np
         if isinstance(c_prime, np.ndarray):
             return _reflection_array(c_prime, material)
     if not c_prime >= 1.0:
         raise ValueError(f"c_prime must be >= 1, got {c_prime}")
+    # den, a sum of positive terms, overflows wherever an intermediate does;
+    # the numerator is formed only where it does not, as it would be NaN
+    # (t / (c'_+ + c'_-) is inf / inf), and a finite one over den gives 0
     t = (c_prime - 1.0) * (c_prime + 1.0) / eps_mu
     if endpoint:
-        num = -kr * two_eta * c_prime
         den = one_eta_sq * c_prime + two_eta * _sqrt(1.0 + t / 4.0)
+        if den != _inf:
+            return -kr * two_eta * c_prime / den
     else:
         cp = _sqrt(1.0 + t / plus_sq)
         cm = _sqrt(1.0 + t / minus_sq)
         cp_cm = cp + cm
-        num = two_eta * c_prime * (sq_diff * (t / cp_cm))
         den = one_eta_sq * c_prime * cp_cm + two_eta * (c_prime * c_prime + cp * cm)
-    # den, a sum of positive terms, overflows wherever an intermediate does;
-    # num / den is then NaN, or 0 for a finite num
-    return _reflection_overflowed(c_prime, material) if den == _inf else num / den
+        if den != _inf:
+            return k_diff * c_prime * (t / cp_cm) / den
+    return _reflection_overflowed(c_prime, material)
 
 
 def _reflection_array(c_prime, material: PasteurMaterial):
@@ -194,7 +197,7 @@ def _reflection_array(c_prime, material: PasteurMaterial):
     its ``with`` block slowed the float path, where it never runs, by
     10-20 % (CPython 3.11)."""
     import numpy as np
-    kr, endpoint, eps_mu, plus_sq, minus_sq, sq_diff, two_eta, one_eta_sq, _ = material._reflection
+    kr, endpoint, eps_mu, plus_sq, minus_sq, k_diff, two_eta, one_eta_sq, _ = material._reflection
     if not np.all(c_prime >= 1.0):
         raise ValueError("c_prime must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -206,7 +209,7 @@ def _reflection_array(c_prime, material: PasteurMaterial):
             cp = np.sqrt(1.0 + t / plus_sq)
             cm = np.sqrt(1.0 + t / minus_sq)
             cp_cm = cp + cm
-            num = two_eta * c_prime * (sq_diff * (t / cp_cm))
+            num = k_diff * c_prime * (t / cp_cm)
             den = one_eta_sq * c_prime * cp_cm + two_eta * (c_prime * c_prime + cp * cm)
         r = num / den
     over = den == _inf
@@ -255,9 +258,9 @@ def reflection_limit(material: PasteurMaterial) -> float:
     eta = material.impedance_ratio
     num = -4.0 * eta * kr * n
     den = 2.0 * (1.0 + eta * eta) * n + 2.0 * eta * (n * n * (1.0 - kr * kr) + 1.0)
-    if den == math.inf:  # both divided by n, which keeps den finite
-        num = -4.0 * eta * kr
-        den = 2.0 * (1.0 + eta * eta) + 2.0 * eta * (n * (1.0 - kr * kr) + 1.0 / n)
+    if den == math.inf:  # both divided by 2 (1 + eta^2) n, so no term overflows
+        e = 2.0 / (eta + 1.0 / eta)  # 2 eta / (1 + eta^2)
+        return -2.0 * e * kr / (2.0 + e * (n * ((1.0 - kr) * (1.0 + kr)) + 1.0 / n))
     return num / den
 
 

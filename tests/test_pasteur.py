@@ -116,10 +116,13 @@ def test_reflection_limit_closed_form():
 
 
 def test_reflection_limit_where_its_direct_denominator_overflows():
-    # n^2 (1 - kappa_r^2) = 9.1e307 and den = 1.8e308: the limit had been -0.0
-    mat = PasteurMaterial(1e154, 1e154, 3e153)
-    assert reflection_limit(mat) == pytest.approx(-6.593406593406593e-155, rel=1e-15)
-    assert chiral_shift_nonretarded(1.0, MOL, mat) < 0.0
+    # n^2 (1 - kappa_r^2) = 9.1e307 and den = 1.8e308, or eta = 1e154 and
+    # 2 (1 + eta^2) = inf at n = 1: the limit had been -0.0
+    for mat, exact in [(PasteurMaterial(1e154, 1e154, 3e153), -6.593406593406593e-155),
+                       (PasteurMaterial(1e-154, 1e154, 0.5), -1e-154)]:
+        assert reflection_limit(mat) == pytest.approx(exact, rel=1e-15)
+        assert reflection_cross(1e200, mat) == reflection_limit(mat)
+        assert chiral_shift_nonretarded(1.0, MOL, mat) < 0.0
 
 
 def test_reflection_odd_in_kappa():
@@ -168,8 +171,7 @@ def test_reflection_dispatch_keeps_the_value_bits_and_type_of_each_argument_kind
     r = reflection_cross(np.array([1.7, 2.0]), mat)
     assert type(r) is np.ndarray and r.dtype == np.float64
     assert [float(v).hex() for v in r] == [r_17.hex(), r_2.hex()]
-    # c'^2 overflows, and t / (c'_+ + c'_-) is inf / inf: the scalar guard returns the limit
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):  # c'^2 overflows: the scalar guard returns the limit
         r = reflection_cross(np.float64(1e300), mat)
     assert type(r) is float and r == reflection_limit(mat)
 
@@ -187,7 +189,7 @@ def _reflection_cross_per_call(c_prime, material):
         return -kr * 2.0 * eta * c_prime / ((1.0 + eta * eta) * c_prime + 2.0 * eta * c_finite)
     cp = sqrt(1.0 + t / (1.0 + kr) ** 2)
     cm = sqrt(1.0 + t / (1.0 - kr) ** 2)
-    num = 2.0 * eta * c_prime * (-4.0 * kr / ((1.0 - kr) * (1.0 + kr)) ** 2 * (t / (cp + cm)))
+    num = 2.0 * eta * (-4.0 * kr / ((1.0 - kr) * (1.0 + kr)) ** 2) * c_prime * (t / (cp + cm))
     den = (1.0 + eta * eta) * c_prime * (cp + cm) + 2.0 * eta * (c_prime * c_prime + cp * cm)
     return num / den
 
