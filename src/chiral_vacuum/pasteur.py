@@ -74,15 +74,15 @@ class PasteurMaterial:
             raise ValueError(
                 f"relative Pasteur parameter {kr} outside [-1, 1]"
             )
-        # The per-material constants of reflection_cross, which QUADPACK
-        # calls once per node.  Not a dataclass field, so repr, ==, hash
-        # and replace() see only the three parameters.  k_diff is
+        # The per-material constants of the direct bodies of reflection_cross,
+        # which QUADPACK calls once per node.  Not a dataclass field, so repr,
+        # ==, hash and replace() see only the three parameters.  k_diff is
         # 2 eta (c'_+^2 - c'_-^2) / t; its + 0.0 makes kappa = -0.0 give +0.0.
         eta, endpoint = self.impedance_ratio, abs(kr) == 1.0
         object.__setattr__(self, "_reflection", (
             kr, endpoint, self.eps_r * self.mu_r, (1.0 + kr) ** 2, (1.0 - kr) ** 2,
             0.0 if endpoint else 2.0 * eta * (-4.0 * kr / ((1.0 - kr) * (1.0 + kr)) ** 2) + 0.0,
-            2.0 * eta, 1.0 + eta * eta, reflection_limit(self),
+            2.0 * eta, 1.0 + eta * eta,
         ))
 
     @property
@@ -145,9 +145,9 @@ def reflection_cross(c_prime, material: PasteurMaterial):
 
     Accepts a scalar or ndarray c' >= 1; a c' below 1 or NaN raises
     ``ValueError``.  Where the formula overflows (its denominator is
-    infinite), :func:`_reflection_overflowed` evaluates it in scaled
-    variables instead, so neither QUADPACK nor an array sees the NaN, or
-    the 0 of a finite numerator over an infinite denominator.
+    infinite), both bodies take :func:`_reflection_scaled` of ``float(c')``,
+    a float exactly odd in kappa, so neither QUADPACK nor an array sees the
+    NaN, or the 0 of a finite numerator over an infinite denominator.
 
     Every scalar takes one ``math.sqrt`` body, so a Python float, which
     QUADPACK passes at every node, pays a single type check; only an
@@ -166,7 +166,7 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     -------
     float or ndarray
     """
-    kr, endpoint, eps_mu, plus_sq, minus_sq, k_diff, two_eta, one_eta_sq, _ = material._reflection
+    kr, endpoint, eps_mu, plus_sq, minus_sq, k_diff, two_eta, one_eta_sq = material._reflection
     if type(c_prime) is not float and not isinstance(c_prime, int):
         import numpy as np
         if isinstance(c_prime, np.ndarray):
@@ -197,7 +197,7 @@ def _reflection_array(c_prime, material: PasteurMaterial):
     its ``with`` block slowed the float path, where it never runs, by
     10-20 % (CPython 3.11)."""
     import numpy as np
-    kr, endpoint, eps_mu, plus_sq, minus_sq, k_diff, two_eta, one_eta_sq, _ = material._reflection
+    kr, endpoint, eps_mu, plus_sq, minus_sq, k_diff, two_eta, one_eta_sq = material._reflection
     if not np.all(c_prime >= 1.0):
         raise ValueError("c_prime must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -220,48 +220,43 @@ def _reflection_array(c_prime, material: PasteurMaterial):
 
 
 def _reflection_overflowed(c_prime, material: PasteurMaterial) -> float:
-    """r(c') of :func:`reflection_cross` where its direct formula overflows.
+    """r(c') of :func:`reflection_cross` where its direct formula overflows."""
+    c = float(c_prime)
+    return _reflection_scaled(1.0 / c, (c - 1.0) / c * ((c + 1.0) / c), material)
 
-    Numerator and denominator are multiplied by s_+ s_- / ((1 + eta^2) c'^2 n),
-    with s_+- = n (1 +- kappa_r) and n = sqrt(eps_r mu_r), so every term
-    stays in range: p = s_+ c'_+ / c' = hypot(s_+ / c', q) and likewise m,
-    with q^2 = 1 - 1/c'^2, and c'_+ - c'_- is taken as a difference of
-    squares.  Where c' is above 1e8 times each scale 1, s_+ and s_-, r is
-    :func:`reflection_limit` to every digit, and at kappa_r = 0 it is 0.0;
-    that limit is returned there.
+
+def _reflection_scaled(inv_c: float, q_sq: float, material: PasteurMaterial) -> float:
+    """r(c') of :func:`reflection_cross` at 1/c' and q^2 = 1 - 1/c'^2, with
+    numerator and denominator times s_+ s_- / ((1 + eta^2) c'^2 n), where
+    s_+- = n (1 +- kappa_r) and n = sqrt(eps_r mu_r), so no term overflows.
+
+    p = s_+ c'_+ / c' = hypot(s_+ / c', q) and likewise m; c'_+ - c'_- is a
+    difference of squares and 1 - kappa_r^2 is (1 - kappa_r)(1 + kappa_r).
+    Each term is symmetric under p <-> m, which kappa -> -kappa swaps, so r
+    is exactly odd in kappa, and kappa = 0 gives +0.0.  Once s_+-/c' rounds
+    away against q = 1, r is :func:`reflection_limit` to the bit.
     """
-    kr, endpoint, *_, r_inf = material._reflection
+    kr = material._reflection[0]
     n = math.sqrt(material.eps_r) * math.sqrt(material.mu_r)
-    if kr == 0.0 or c_prime > 1e8 * max(1.0, 2.0 * n):
-        return r_inf
     eta = material.impedance_ratio
     e = 2.0 / (eta + 1.0 / eta)  # 2 eta / (1 + eta^2), which cannot overflow
-    q_sq = (c_prime - 1.0) / c_prime * ((c_prime + 1.0) / c_prime)
     q = math.sqrt(q_sq)
-    if endpoint:
-        return -kr * e / (1.0 + e * math.hypot(1.0 / c_prime, q / (2.0 * n)))
-    p = math.hypot(n * (1.0 + kr) / c_prime, q)
-    m = math.hypot(n * (1.0 - kr) / c_prime, q)
+    p = math.hypot(n * (1.0 + kr) * inv_c, q)
+    m = math.hypot(n * (1.0 - kr) * inv_c, q)
     g = p * (1.0 - kr) + m * (1.0 + kr)  # (p s_- + m s_+) / n
-    return -4.0 * e * kr * q_sq / (g * (g + e * (n * (1.0 - kr) * (1.0 + kr) + p * (m / n))))
+    if g == 0.0:  # 2q at kappa_r = +-1, 0 at a float32 c' = 1: take the limit q -> 0
+        return -kr * e / (1.0 + e)
+    pm_n = min(p, m) * (max(p, m) / n)
+    return (-4.0 * e * kr + 0.0) * q_sq / g / (g + e * (n * ((1.0 - kr) * (1.0 + kr)) + pm_n))
 
 
 def reflection_limit(material: PasteurMaterial) -> float:
-    """Algebraic c' -> infinity limit of :func:`reflection_cross`.
+    """Algebraic c' -> infinity limit of :func:`reflection_cross`:
+    :func:`_reflection_scaled` at 1/c' = 0, exactly odd in kappa.
 
     For eps_r = mu_r = 1 this reduces to -2 kappa / (4 - kappa^2).
     """
-    kr = material.kappa_r
-    if kr == 0.0:
-        return 0.0
-    n = math.sqrt(material.eps_r * material.mu_r)
-    eta = material.impedance_ratio
-    num = -4.0 * eta * kr * n
-    den = 2.0 * (1.0 + eta * eta) * n + 2.0 * eta * (n * n * (1.0 - kr * kr) + 1.0)
-    if den == math.inf:  # both divided by 2 (1 + eta^2) n, so no term overflows
-        e = 2.0 / (eta + 1.0 / eta)  # 2 eta / (1 + eta^2)
-        return -2.0 * e * kr / (2.0 + e * (n * ((1.0 - kr) * (1.0 + kr)) + 1.0 / n))
-    return num / den
+    return _reflection_scaled(0.0, 1.0, material)
 
 
 def _quad(func, lo, hi, rel_tol: float, abs_tol: float, points=None):

@@ -63,12 +63,12 @@ def test_kappa_r_uses_index():
 # ------------------------------------------------------------ reflection
 
 def test_reflection_vanishes_without_chirality():
-    grid = np.array([1.0, 1.3, 2.0, 7.0, 1e8])
+    grid = np.array([1.0, 1.3, 2.0, 7.0, 1e8, 1e300])  # the formula overflows at 1e300
     for eps, mu in [(1.0, 1.0), (2.25, 1.0), (3.0, 1.5)]:
         for kappa in (0.0, -0.0):
             mat = PasteurMaterial(eps, mu, kappa)
-            r = reflection_cross(2.0, mat)
-            assert r == 0.0 and math.copysign(1.0, r) == 1.0  # +0.0, not -0.0
+            for r in (reflection_cross(2.0, mat), reflection_cross(1e300, mat), reflection_limit(mat)):
+                assert r == 0.0 and math.copysign(1.0, r) == 1.0  # +0.0, not -0.0
             assert not np.any(np.signbit(reflection_cross(grid, mat)))
             assert np.all(reflection_cross(grid, mat) == 0.0)
 
@@ -87,6 +87,14 @@ def test_reflection_where_the_formula_overflows_is_the_limit():
     endpoint = PasteurMaterial(2.0, 3.0, math.sqrt(6.0))  # kappa_r = 1
     for c in (1e155, 1e300):
         assert reflection_cross(c, endpoint) == reflection_limit(endpoint)
+    # eta = 1e20 at kappa_r = 1: a float32 c' = 1 overflows, and the scaled
+    # form, where q = 0, takes its limit
+    endpoint = PasteurMaterial(1e-20, 1e20, 1.0)
+    exact = float(_reflection_decimal(1.0, endpoint))
+    with np.errstate(over="ignore"):
+        assert reflection_cross(np.float32(1.0), endpoint) == pytest.approx(exact, rel=1e-15)
+    (r,) = reflection_cross(np.array([1.0], dtype=np.float32), endpoint)
+    assert r == pytest.approx(exact, rel=1e-7)  # a float32 array keeps its dtype
     # a kappa = 0 shift down to z = 1e-160 stays exactly +0.0, and an
     # eps_r mu_r near underflow computes (a NaN node can crash QUADPACK)
     for z in (1e-150, 1e-160):
@@ -290,6 +298,52 @@ def test_reflection_where_the_formula_overflows_matches_a_60_digit_evaluation(ma
         exact = _reflection_decimal(c, mat)
         for r in (reflection_cross(c, mat), float(r_vec)):
             assert abs(Decimal(r) - exact) <= Decimal(1e-12) * abs(exact), (c, r, exact)
+
+
+@st.composite
+def _wide_materials(draw, decades: float):
+    """eps_r and mu_r in 10^[-decades, decades], with eps_r mu_r and mu_r / eps_r
+    in 10^[-307, 307]; kappa_r uniform in [-1, 1] or within 1e-16 ... 0.1 of +-1."""
+    x = draw(st.floats(-decades, decades))
+    y = draw(st.floats(max(-decades, -307.0 - x, x - 307.0), min(decades, 307.0 - x, x + 307.0)))
+    eps, mu = 10.0 ** x, 10.0 ** y
+    gap = draw(st.floats(0.0, 1.0) | st.floats(-16.0, -1.0).map(lambda d: 10.0 ** d))
+    kappa_r = draw(st.sampled_from([1.0, -1.0])) * (1.0 - gap)
+    return PasteurMaterial(eps, mu, kappa_r * math.sqrt(eps * mu))
+
+
+def _reflection_limit_decimal(material: PasteurMaterial) -> Decimal:
+    """r(inf) = -4 eta kappa_r n / (2 (1 + eta^2) n + 2 eta (n^2 (1 - kappa_r^2) + 1))
+    in 60-digit decimals, at the material's eps_r, mu_r and kappa_r."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        eps, mu, kr = Decimal(material.eps_r), Decimal(material.mu_r), Decimal(material.kappa_r)
+        n, eta = (eps * mu).sqrt(), (mu / eps).sqrt()
+        return -4 * eta * kr * n / (2 * (1 + eta * eta) * n + 2 * eta * (n * n * (1 - kr * kr) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=_wide_materials(150.0))
+@example(mat=PasteurMaterial(1e100, 1e100, 1e100 * (1.0 - 1e-8)))
+def test_reflection_limit_matches_a_60_digit_evaluation(mat):
+    # 1 - kappa_r^2 is taken as (1 - kappa_r)(1 + kappa_r): as 1 - kappa_r
+    # kappa_r it cancels where n^2 (1 - kappa_r^2) dominates the denominator
+    exact = _reflection_limit_decimal(mat)
+    assert abs(Decimal(reflection_limit(mat)) - exact) <= Decimal(1e-15) * abs(exact)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=_wide_materials(200.0),
+       c_prime=st.floats(0.0, 300.0).map(lambda u: 10.0 ** u) | st.floats(1.0, 1e300))
+@example(mat=PasteurMaterial(1.8050908342409035e194, 7.744467986063282e110, 3.53400900404577e152),
+         c_prime=8.629918540925154e156)
+def test_reflection_is_exactly_odd_in_kappa_everywhere(mat, c_prime):
+    # also where the formula overflows and the scaled form takes over
+    mirror = dataclasses.replace(mat, kappa=-mat.kappa)
+    assert reflection_cross(c_prime, mirror) == -reflection_cross(c_prime, mat)
+    grid = np.array([1.0, 1.5, c_prime, 1e300])
+    assert np.array_equal(reflection_cross(grid, mirror), -reflection_cross(grid, mat))
+    assert reflection_limit(mirror) == -reflection_limit(mat)
 
 
 @pytest.mark.parametrize("kappa_r", [1e-20, 1e-12, 1e-6, -1e-12])
