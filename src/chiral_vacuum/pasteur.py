@@ -145,8 +145,8 @@ def reflection_cross(c_prime, material: PasteurMaterial):
 
     Accepts a scalar or ndarray c' >= 1; a c' below 1 or NaN raises
     ``ValueError``.  Where the formula overflows (its denominator is
-    infinite), both bodies take :func:`_reflection_scaled` of ``float(c')``,
-    a float exactly odd in kappa, so neither QUADPACK nor an array sees the
+    infinite), both bodies take :func:`_reflection_scaled`, a float exactly
+    odd in kappa, so neither QUADPACK nor an array sees the
     NaN, or the 0 of a finite numerator over an infinite denominator.
 
     Every scalar takes one ``math.sqrt`` body, so a Python float, which
@@ -188,7 +188,7 @@ def reflection_cross(c_prime, material: PasteurMaterial):
         den = one_eta_sq * c_prime * cp_cm + two_eta * (c_prime * c_prime + cp * cm)
         if den != _inf:
             return k_diff * c_prime * (t / cp_cm) / den
-    return _reflection_overflowed(c_prime, material)
+    return _reflection_scaled(c_prime, material)
 
 
 def _reflection_array(c_prime, material: PasteurMaterial):
@@ -215,27 +215,27 @@ def _reflection_array(c_prime, material: PasteurMaterial):
     over = den == _inf
     if over.any():
         r = np.array(r)  # a 0-d result is a scalar, and only an array takes items
-        r[over] = [_reflection_overflowed(c, material) for c in c_prime[over].tolist()]
+        r[over] = [_reflection_scaled(c, material) for c in c_prime[over].tolist()]
     return r[()]
 
 
-def _reflection_overflowed(c_prime, material: PasteurMaterial) -> float:
-    """r(c') of :func:`reflection_cross` where its direct formula overflows."""
-    c = float(c_prime)
-    return _reflection_scaled(1.0 / c, (c - 1.0) / c * ((c + 1.0) / c), material)
+def _reflection_scaled(c_prime, material: PasteurMaterial) -> float:
+    """r(c') of :func:`reflection_cross` where its direct formula overflows,
+    and its c' -> infinity limit, with numerator and denominator times
+    s_+ s_- / ((1 + eta^2) c'^2 n), where s_+- = n (1 +- kappa_r) and
+    n = sqrt(eps_r mu_r), so no term overflows.
 
-
-def _reflection_scaled(inv_c: float, q_sq: float, material: PasteurMaterial) -> float:
-    """r(c') of :func:`reflection_cross` at 1/c' and q^2 = 1 - 1/c'^2, with
-    numerator and denominator times s_+ s_- / ((1 + eta^2) c'^2 n), where
-    s_+- = n (1 +- kappa_r) and n = sqrt(eps_r mu_r), so no term overflows.
-
-    p = s_+ c'_+ / c' = hypot(s_+ / c', q) and likewise m; c'_+ - c'_- is a
-    difference of squares and 1 - kappa_r^2 is (1 - kappa_r)(1 + kappa_r).
-    Each term is symmetric under p <-> m, which kappa -> -kappa swaps, so r
-    is exactly odd in kappa, and kappa = 0 gives +0.0.  Once s_+-/c' rounds
-    away against q = 1, r is :func:`reflection_limit` to the bit.
+    p = s_+ c'_+ / c' = hypot(s_+ / c', q), q^2 = 1 - 1/c'^2, and likewise
+    m; c'_+ - c'_- is a difference of squares and 1 - kappa_r^2 is
+    (1 - kappa_r)(1 + kappa_r).  Each term is symmetric under p <-> m,
+    which kappa -> -kappa swaps, so r is exactly odd in kappa, and
+    kappa = 0 gives +0.0.  c' is taken as a float of at most 1e300: from
+    there on q = 1 and s_+-/c' rounds away against it for every accepted
+    n, so every such c', inf included, gives r(inf) to the bit.
     """
+    c = min(float(c_prime), 1e300)
+    inv_c = 1.0 / c
+    q_sq = (c - 1.0) / c * ((c + 1.0) / c)
     kr = material._reflection[0]
     n = math.sqrt(material.eps_r) * math.sqrt(material.mu_r)
     eta = material.impedance_ratio
@@ -252,11 +252,11 @@ def _reflection_scaled(inv_c: float, q_sq: float, material: PasteurMaterial) -> 
 
 def reflection_limit(material: PasteurMaterial) -> float:
     """Algebraic c' -> infinity limit of :func:`reflection_cross`:
-    :func:`_reflection_scaled` at 1/c' = 0, exactly odd in kappa.
+    :func:`_reflection_scaled` at c' = inf, exactly odd in kappa.
 
     For eps_r = mu_r = 1 this reduces to -2 kappa / (4 - kappa^2).
     """
-    return _reflection_scaled(0.0, 1.0, material)
+    return _reflection_scaled(math.inf, material)
 
 
 def _quad(func, lo, hi, rel_tol: float, abs_tol: float, points=None):

@@ -76,17 +76,22 @@ def test_reflection_vanishes_without_chirality():
 def test_reflection_where_the_formula_overflows_is_the_limit():
     # c'^2 / (eps_r mu_r) beyond the float range: inf - inf would reach QUADPACK
     for mat in [VACUUMLIKE, PasteurMaterial(2.25, 1.1, -0.7), PasteurMaterial(1.0, 1.0, 0.0)]:
-        for c in (5e153, 1e155, 1e300):  # at 5e153 den overflows while num does not
+        limit = reflection_limit(mat)
+        for c in (5e153, 1e155, 1e300, math.inf):  # at 5e153 den overflows while num does not
             r = reflection_cross(c, mat)
             if mat.eps_r == 2.25 and c == 5e153:  # den is 1.1e308: the formula holds
                 exact = _reflection_decimal(c, mat)
                 assert abs(Decimal(r) - exact) <= Decimal(1e-15) * abs(exact)
                 continue
-            assert r == reflection_limit(mat)
-            assert math.copysign(1.0, r) == math.copysign(1.0, reflection_limit(mat))
+            assert r == limit
+            assert math.copysign(1.0, r) == math.copysign(1.0, limit)
+        # c' = inf, also in an array, is r_inf to the bit
+        for r in reflection_cross(np.array([1e300, math.inf]), mat):
+            assert r == limit and math.copysign(1.0, r) == math.copysign(1.0, limit)
     endpoint = PasteurMaterial(2.0, 3.0, math.sqrt(6.0))  # kappa_r = 1
-    for c in (1e155, 1e300):
+    for c in (1e155, 1e300, math.inf):
         assert reflection_cross(c, endpoint) == reflection_limit(endpoint)
+    assert list(reflection_cross(np.array([math.inf]), endpoint)) == [reflection_limit(endpoint)]
     # eta = 1e20 at kappa_r = 1: a float32 c' = 1 overflows, and the scaled
     # form, where q = 0, takes its limit
     endpoint = PasteurMaterial(1e-20, 1e20, 1.0)
