@@ -84,7 +84,8 @@ class PolarizedEnsemble:
 
     ``d00`` is the ground-state electric dipole in units of e*a0 and
     ``m00`` the magnetic dipole in mu_B.  Mirroring across the y-z plane
-    flips d_x and leaves m00 fixed, which flips the Debye shift exactly.
+    flips d_x and leaves m00 fixed, which flips the Debye shift exactly
+    when d_y m_x = 0.
     """
 
     d00: tuple[float, float, float]
@@ -136,17 +137,23 @@ def _debye_mode_base(mode: CavityMode, ensemble: PolarizedEnsemble) -> float:
         * (BOHR_RADIUS_NM**3 / mode.veff_nm3) * cross
 
 
-def debye_shift_per_molecule(modes: CavityModeSet, ensemble: PolarizedEnsemble) -> float:
-    """Zero-temperature collective Debye shift per molecule, in eV.
+def debye_shift_per_molecule(modes: CavityModeSet, ensemble: PolarizedEnsemble, *,
+                             thermal: Thermal = Thermal(0.0)) -> float:
+    """Collective Debye shift per molecule, in eV; the ensemble total is
+    N times this, N^2 overall.
 
-    Exactly linear in n_molecules (the single multiplication happens
-    last; the ensemble total is N times this, N^2 overall) and flips
-    sign exactly under ``ensemble.mirror()``.  The per-mode contribution
-    does not depend on the mode frequency, so any permutation of
-    frequencies leaves the result bit-identical.
+    At T = 0 it is exactly linear in n_molecules (the single
+    multiplication happens last) and, since the per-mode contribution
+    does not depend on the mode frequency, bit-identical under any
+    permutation of frequencies.  At T > 0 each mode's term is taken times
+    N and times its ratio ``thermal_ratio_debye``, then summed.  Either
+    way ``ensemble.mirror()`` flips its sign exactly when d_y m_x = 0.
     """
-    base = math.fsum(_debye_mode_base(m, ensemble) for m in modes.modes)
-    return base * ensemble.n_molecules
+    n = ensemble.n_molecules
+    if thermal.temperature_k == 0.0:
+        return math.fsum(_debye_mode_base(m, ensemble) for m in modes.modes) * n
+    return math.fsum(_debye_mode_base(m, ensemble) * n * thermal_ratio_debye(m.omega_ev, thermal)
+                     for m in modes.modes)
 
 
 def thermal_ratio_london(mode_omega_ev: float, gap_ev: float, thermal: Thermal) -> float:

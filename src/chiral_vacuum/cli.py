@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 physics/domain error (including partial sweep
-failures and non-finite results), 2 configuration error.
+failures, non-finite results and running out of memory), 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,6 @@ from .cavity import (
     PolarizedEnsemble,
     cavity_shift_report,
     debye_shift_per_molecule,
-    thermal_ratio_debye,
 )
 from .config import ConfigError, RunConfig, parse_config, usage
 from .core import MoleculeSpectrum, Thermal
@@ -123,23 +122,15 @@ def _run_cavity(config: RunConfig) -> tuple[tuple, int]:
 
 def _run_debye(config: RunConfig) -> tuple[tuple, int]:
     modes = _build_modes(config)
-    ensemble_base = PolarizedEnsemble(config["ensemble.d00"], config["ensemble.m00"], 1)
+    d00, m00 = config["ensemble.d00"], config["ensemble.m00"]
+    ensemble_base = PolarizedEnsemble(d00, m00, 1)
     thermal = _build(Thermal, config, "thermal.temperature_k")
-    ensembles = _build(lambda n_list: [replace(ensemble_base, n_molecules=n) for n in n_list],
+    ensembles = _build(lambda n_list: [PolarizedEnsemble(d00, m00, n) for n in n_list],
                        config, "sweep.n_list")
-
-    # per-mode thermal ratios; the T=0 per-mode term is frequency independent
-    def corrected(ens: PolarizedEnsemble) -> float:
-        return math.fsum(
-            debye_shift_per_molecule(CavityModeSet((m,)), ens)
-            * thermal_ratio_debye(m.omega_ev, thermal)
-            for m in modes.modes
-        )
-
     rows = []
     for ens in ensembles:
         pm_t0 = debye_shift_per_molecule(modes, ens)
-        pm = corrected(ens)
+        pm = debye_shift_per_molecule(modes, ens, thermal=thermal)
         rows.append((ens.n_molecules, pm_t0 * 1e3, pm * 1e3,
                      pm_t0 * ens.n_molecules * 1e3, pm * ens.n_molecules * 1e3))
     columns = (
@@ -149,7 +140,8 @@ def _run_debye(config: RunConfig) -> tuple[tuple, int]:
         Column("total_T0_meV", "meV"),
         Column("total_meV", "meV"),
     )
-    base_ratio = corrected(ensemble_base) / debye_shift_per_molecule(modes, ensemble_base) \
+    base_ratio = debye_shift_per_molecule(modes, ensemble_base, thermal=thermal) \
+        / debye_shift_per_molecule(modes, ensemble_base) \
         if debye_shift_per_molecule(modes, ensemble_base) != 0.0 else 1.0
     notes = [
         ("temperature_K", thermal.temperature_k),
@@ -248,6 +240,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = parse_config(argv)
         out, code = run(config)
+        try:  # the encoders reject a NaN or infinite cell or note
+            text = render(out, config["output.format"])
+        except ValueError:
+            print(f"error: non-finite result in {_non_finite_field(out)!r}", file=sys.stderr)
+            return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -257,10 +254,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ArithmeticError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    try:  # the encoders reject a NaN or infinite cell or note
-        text = render(out, config["output.format"])
-    except ValueError:
-        print(f"error: non-finite result in {_non_finite_field(out)!r}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     path = config["output.path"]
     if path == "-":

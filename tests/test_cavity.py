@@ -148,6 +148,11 @@ def test_debye_invariant_under_frequency_permutation():
         debye_shift_per_molecule(TEN_LEFT, ens)
 
 
+def test_debye_thermal_is_keyword_only():
+    with pytest.raises(TypeError):
+        debye_shift_per_molecule(TEN_LEFT, ENSEMBLE, Thermal(300.0))
+
+
 def test_debye_respects_per_mode_volume():
     small = CavityModeSet((CavityMode(0.1, 0.1, -0.5),))
     large = CavityModeSet((CavityMode(0.1, 0.2, -0.5),))

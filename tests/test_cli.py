@@ -181,6 +181,15 @@ def test_debye_single_mode_enhancement_is_bose_ratio(capsys):
     assert float(note.split("=")[1]) == pytest.approx(expected, rel=1e-12)
 
 
+def test_debye_thermal_columns_equal_the_t0_columns_at_zero_temperature(capsys):
+    code, out, _ = run_cli(["debye", "--thermal.temperature_k", "0"], capsys)
+    assert code == 0
+    rows = [r.split(",") for r in data_rows(out)]
+    assert [r[0] for r in rows] == ["1", "10", "100"]
+    for _, pm_t0, pm, total_t0, total in rows:
+        assert (pm, total) == (pm_t0, total_t0)
+
+
 def test_tst_adds_activation_columns(capsys):
     code, out, _ = run_cli(
         ["tst", "--sweep.delta_e_mev", "53", "--thermal.temperatures", "300"],
@@ -347,6 +356,21 @@ def test_non_finite_result_exits_1_without_output(tmp_path, capsys):
     assert "per_molecule_T0_meV" in err
     assert len(err.strip().splitlines()) == 1
     assert out == ""
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("site", ["runner", "render"])
+def test_out_of_memory_exits_1_without_output(site, tmp_path, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError()
+
+    if site == "runner":
+        monkeypatch.setitem(cli._RUNNERS, "cavity", exhausted)
+    else:
+        monkeypatch.setattr(cli, "render", exhausted)
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(["cavity", "--output.path", str(path)], capsys)
+    assert (code, out, err) == (1, "", "error: out of memory\n")
     assert not path.exists()
 
 

@@ -281,8 +281,11 @@ def _reflection_decimal(c_prime: float, material: PasteurMaterial) -> Decimal:
         if abs(kr) == 1:
             return -kr * 2 * eta * c / ((1 + eta * eta) * c + 2 * eta * (1 + t / 4).sqrt())
         cp, cm = (1 + t / (1 + kr) ** 2).sqrt(), (1 + t / (1 - kr) ** 2).sqrt()
-        return 2 * eta * c * (cp - cm) / ((1 + eta * eta) * c * (cp + cm)
-                                          + 2 * eta * (c * c + cp * cm))
+        # cp - cm as a difference of squares: the plain difference of two
+        # roots near 1 cancels within 60 digits once t is below ~1e-45
+        diff = -4 * kr * t / ((1 - kr) * (1 + kr)) ** 2 / (cp + cm)
+        return 2 * eta * c * diff / ((1 + eta * eta) * c * (cp + cm)
+                                     + 2 * eta * (c * c + cp * cm))
 
 
 @pytest.mark.parametrize("mat", [
@@ -361,6 +364,16 @@ def test_reflection_keeps_its_digits_at_small_kappa_and_near_cprime_one(kappa_r,
         exact = _reflection_decimal(c, mat)
         for r in (reflection_cross(c, mat), float(r_vec)):
             assert abs(Decimal(r) - exact) <= Decimal(2e-15) * abs(exact), (c, r, exact)
+
+
+def test_reflection_keeps_its_digits_near_cprime_one_at_a_large_eps_mu_product():
+    # t = (c'^2 - 1) / (eps_r mu_r) = 2.4e-58, where the reference's cp - cm
+    # must not cancel either: as a plain difference it read 2.815e-70
+    mat = PasteurMaterial(38549902078.28667, 4.863302210903312e31, -7.075334002241292e18)
+    c = 1.0 + 2.0**-52
+    exact = _reflection_decimal(c, mat)
+    for r in (reflection_cross(c, mat), float(reflection_cross(np.array([c]), mat)[0])):
+        assert abs(Decimal(r) - exact) <= Decimal(1e-15) * abs(exact), (r, exact)
 
 
 def test_shift_at_tiny_kappa_is_kappa_times_its_slope():

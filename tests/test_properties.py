@@ -34,6 +34,7 @@ from chiral_vacuum import (
     reflection_cross,
     selectivity,
     selectivity_tst,
+    thermal_ratio_debye,
     zero_point_frequency_shift,
 )
 from chiral_vacuum.acceptance import oracle_dense_halfspace_shift
@@ -120,6 +121,23 @@ vectors = st.tuples(*[st.floats(-10.0, 10.0)] * 3)
 def test_debye_shift_is_exactly_linear_in_n(mode_set, d00, m00, n):
     one = debye_shift_per_molecule(mode_set, PolarizedEnsemble(d00, m00, 1))
     assert debye_shift_per_molecule(mode_set, PolarizedEnsemble(d00, m00, n)) == n * one
+
+
+@FAST
+@given(mode_set=modes, d00=vectors, m00=vectors, n=st.integers(1, 10**9),
+       temperature=st.floats(1.0, 1e4))
+def test_thermal_debye_shift_is_the_sum_of_per_mode_ratios(mode_set, d00, m00, n, temperature):
+    ens, thermal = PolarizedEnsemble(d00, m00, n), Thermal(temperature)
+    shift = debye_shift_per_molecule(mode_set, ens, thermal=thermal)
+    assert shift == math.fsum(
+        debye_shift_per_molecule(CavityModeSet((m,)), ens) * thermal_ratio_debye(m.omega_ev, thermal)
+        for m in mode_set.modes)
+    assert debye_shift_per_molecule(mode_set, ens, thermal=Thermal(0.0)) == \
+        debye_shift_per_molecule(mode_set, ens)
+    # mirror() negates d_x alone, which flips the shift where d_y m_x = 0
+    planar = PolarizedEnsemble((d00[0], 0.0, d00[2]), m00, n)
+    assert debye_shift_per_molecule(mode_set, planar.mirror(), thermal=thermal) == \
+        -debye_shift_per_molecule(mode_set, planar, thermal=thermal)
 
 
 # Rotatory strengths, chirality factors and kappa_r kept clear of the
