@@ -48,7 +48,6 @@ def test_output_matches_its_golden_file(name, tmp_path, monkeypatch, capsys):
 
 def regenerate() -> None:
     """Rewrite every golden file from the current program."""
-    GOLDEN.mkdir(exist_ok=True)
     os.chdir(GOLDEN)
     for name, argv in CASES.items():
         code = cli.main(argv)
