@@ -29,6 +29,13 @@ from typing import Optional, Sequence
 from .core import MoleculeSpectrum, Thermal, Transition, _store_floats, bose_occupation
 from .units import BOHR_RADIUS_NM, FINE_STRUCTURE, RYDBERG_EV
 
+__all__ = [
+    "CavityMode", "CavityModeSet", "CavityShiftReport", "ModeReport",
+    "OutOfRegimeError", "PolarizedEnsemble", "cavity_shift_report",
+    "debye_shift_per_molecule", "london_shift", "thermal_ratio_debye",
+    "thermal_ratio_london",
+]
+
 
 class OutOfRegimeError(ValueError):
     """A thermal correction was requested outside its validity regime."""

@@ -31,7 +31,7 @@ class ConfigError(ValueError):
         self.line = line
 
 
-# Largest grid a range or a point count may ask for.
+# Most values a list, a range or a point count may ask for.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -53,6 +53,8 @@ def _parse_list(s: str, parse_item: Callable[[str], object] = _parse_float) -> l
     items = [p.strip() for p in s.split(",") if p.strip()]
     if not items:
         raise ValueError("empty list")
+    if len(items) > MAX_GRID_POINTS:
+        raise ValueError(f"list has more than {MAX_GRID_POINTS} values")
     return [parse_item(p) for p in items]
 
 

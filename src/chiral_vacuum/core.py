@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 from .units import BOLTZMANN_EV
 
+__all__ = ["MoleculeSpectrum", "Thermal", "Transition", "bose_occupation"]
+
 
 def _store_floats(obj, *names: str, positive: tuple[str, ...] = ()) -> None:
     """Store each named field of the frozen dataclass ``obj`` as a Python

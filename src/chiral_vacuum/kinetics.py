@@ -23,6 +23,11 @@ from typing import Optional, Sequence
 from .core import Thermal, _store_floats
 from .units import ATOMIC_MASS_EV
 
+__all__ = [
+    "ReactionProfile", "selectivity", "selectivity_sweep", "selectivity_tst",
+    "tst_activation", "zero_point_frequency_shift",
+]
+
 _ONE_MINUS_ULP = math.nextafter(1.0, 0.0)
 
 

@@ -31,6 +31,12 @@ from typing import Optional, Sequence
 from .core import MoleculeSpectrum, _store_floats
 from .units import E_CHARGE, HBAR, C_LIGHT, MU_0, BOHR_RADIUS, BOHR_MAGNETON, HBARC_EV_NM
 
+__all__ = [
+    "HalfspaceResult", "PasteurMaterial", "QuadratureError",
+    "chiral_shift_halfspace", "chiral_shift_nonretarded", "energy_unit_mev",
+    "halfspace_sweep", "length_unit_nm", "reflection_cross", "reflection_limit",
+]
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge.
@@ -154,7 +160,9 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     ndarray takes the ``np.sqrt`` body, :func:`_reflection_array`.  A
     float or int never loads numpy; any other argument imports numpy
     here, at the first such call, to tell an ndarray from a scalar such
-    as ``np.float32``.
+    as ``np.float32``.  Like the material's constants, a float16 or
+    float32 argument is computed at float64: a scalar as ``float(c')``,
+    an array as its float64 copy.  An ``np.float64`` keeps its type.
 
     Parameters
     ----------
@@ -170,7 +178,9 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     if type(c_prime) is not float and not isinstance(c_prime, int):
         import numpy as np
         if isinstance(c_prime, np.ndarray):
-            return _reflection_array(c_prime, material)
+            return _reflection_array(c_prime.astype(float, copy=False), material)
+        if isinstance(c_prime, np.floating) and not isinstance(c_prime, float):
+            c_prime = float(c_prime)
     if not c_prime >= 1.0:
         raise ValueError(f"c_prime must be >= 1, got {c_prime}")
     # den, a sum of positive terms, overflows wherever an intermediate does;
@@ -231,7 +241,9 @@ def _reflection_scaled(c_prime, material: PasteurMaterial) -> float:
     which kappa -> -kappa swaps, so r is exactly odd in kappa, and
     kappa = 0 gives +0.0.  c' is taken as a float of at most 1e300: from
     there on q = 1 and s_+-/c' rounds away against it for every accepted
-    n, so every such c', inf included, gives r(inf) to the bit.
+    n, so every such c', inf included, gives r(inf) to the bit.  g > 0:
+    it vanishes only at c' = 1 and kappa_r = +-1, where 1 + eta^2 < 2^1024
+    keeps the direct denominator finite.
     """
     c = min(float(c_prime), 1e300)
     inv_c = 1.0 / c
@@ -243,9 +255,7 @@ def _reflection_scaled(c_prime, material: PasteurMaterial) -> float:
     q = math.sqrt(q_sq)
     p = math.hypot(n * (1.0 + kr) * inv_c, q)
     m = math.hypot(n * (1.0 - kr) * inv_c, q)
-    g = p * (1.0 - kr) + m * (1.0 + kr)  # (p s_- + m s_+) / n
-    if g == 0.0:  # 2q at kappa_r = +-1, 0 at a float32 c' = 1: take the limit q -> 0
-        return -kr * e / (1.0 + e)
+    g = p * (1.0 - kr) + m * (1.0 + kr)  # (p s_- + m s_+) / n, 2q at kappa_r = +-1
     pm_n = min(p, m) * (max(p, m) / n)
     return (-4.0 * e * kr + 0.0) * q_sq / g / (g + e * (n * ((1.0 - kr) * (1.0 + kr)) + pm_n))
 

@@ -130,6 +130,41 @@ def test_incomplete_value_names_the_key(argv, key):
     assert repr(key) in str(err.value)
 
 
+SMALL_CAP = 50  # the largest default grid, sweep.z_points = 50, fits under it
+
+
+@pytest.mark.parametrize("command,key,item", [  # every key parsed as a comma list
+    ("pasteur", "molecule.gap_ev", "2"),
+    ("pasteur", "molecule.im_rot_strength", "0.1"),
+    ("pasteur", "sweep.z_list", "1"),
+    ("cavity", "cavity.modes", "0.1"),
+    ("debye", "sweep.n_list", "10"),
+    ("selectivity", "sweep.delta_e_mev", "0"),
+    ("selectivity", "thermal.temperatures", "300"),
+])
+def test_a_list_longer_than_max_grid_points_exits_2_naming_its_key(
+        command, key, item, monkeypatch, capsys):
+    monkeypatch.setattr(config, "MAX_GRID_POINTS", SMALL_CAP)
+    at_cap = parse_config([command, f"--{key}", ",".join([item] * SMALL_CAP)])
+    assert len(at_cap[key]) == SMALL_CAP
+    assert cli.main([command, f"--{key}", ",".join([item] * (SMALL_CAP + 1))]) == 2
+    err = capsys.readouterr().err
+    assert f"list has more than {SMALL_CAP} values" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("key,command", [
+    ("cavity.modes", "cavity"), ("sweep.delta_e_mev", "selectivity")])
+def test_a_range_and_a_list_of_one_key_share_the_size_cap(key, command, monkeypatch):
+    monkeypatch.setattr(config, "MAX_GRID_POINTS", SMALL_CAP)
+    values = [float(k) for k in range(1, SMALL_CAP + 1)]
+    for at_cap, over_cap in [(f"1:1:{SMALL_CAP}", f"1:1:{SMALL_CAP + 1}"),
+                             (",".join(map(str, values)), ",".join(map(str, values + [0.0])))]:
+        assert parse_config([command, f"--{key}", at_cap])[key] == values
+        with pytest.raises(ConfigError, match=f"more than {SMALL_CAP}") as err:
+            parse_config([command, f"--{key}", over_cap])
+        assert err.value.key == key
+
+
 def test_equals_form_flags():
     cfg = parse_config(["pasteur", "--material.kappa=0.25"])
     assert cfg["material.kappa"] == 0.25

@@ -92,14 +92,13 @@ def test_reflection_where_the_formula_overflows_is_the_limit():
     for c in (1e155, 1e300, math.inf):
         assert reflection_cross(c, endpoint) == reflection_limit(endpoint)
     assert list(reflection_cross(np.array([math.inf]), endpoint)) == [reflection_limit(endpoint)]
-    # eta = 1e20 at kappa_r = 1: a float32 c' = 1 overflows, and the scaled
-    # form, where q = 0, takes its limit
+    # eta = 1e20 at kappa_r = 1: 1 + eta^2 overflows in float32, but a
+    # float32 c' = 1 computes at float64, a scalar and an array alike
     endpoint = PasteurMaterial(1e-20, 1e20, 1.0)
     exact = float(_reflection_decimal(1.0, endpoint))
-    with np.errstate(over="ignore"):
-        assert reflection_cross(np.float32(1.0), endpoint) == pytest.approx(exact, rel=1e-15)
+    assert reflection_cross(np.float32(1.0), endpoint) == pytest.approx(exact, rel=1e-15)
     (r,) = reflection_cross(np.array([1.0], dtype=np.float32), endpoint)
-    assert r == pytest.approx(exact, rel=1e-7)  # a float32 array keeps its dtype
+    assert r == pytest.approx(exact, rel=1e-15)
     # a kappa = 0 shift down to z = 1e-160 stays exactly +0.0, and an
     # eps_r mu_r near underflow computes (a NaN node can crash QUADPACK)
     for z in (1e-150, 1e-160):
@@ -187,6 +186,22 @@ def test_reflection_dispatch_keeps_the_value_bits_and_type_of_each_argument_kind
     with np.errstate(over="ignore"):  # c'^2 overflows: the scalar guard returns the limit
         r = reflection_cross(np.float64(1e300), mat)
     assert type(r) is float and r == reflection_limit(mat)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+def test_reflection_of_a_low_precision_argument_is_its_float64_evaluation(dtype):
+    # like the material's constants, a float16 or float32 c' computes at
+    # float64: at (2, 1.5, 0.6) and c' = 1.7 float32 arithmetic was 4.5e-8
+    # off and float16 1.1e-3
+    mat = PasteurMaterial(2.0, 1.5, 0.6)
+    c = dtype(1.7)
+    r = reflection_cross(c, mat)
+    assert type(r) is float and r.hex() == reflection_cross(float(c), mat).hex()
+    array = np.array([1.7, 2.0, 1e4], dtype=dtype)
+    r = reflection_cross(array, mat)
+    assert r.dtype == np.float64
+    assert [v.hex() for v in r.tolist()] == [
+        reflection_cross(v, mat).hex() for v in array.astype(float).tolist()]
 
 
 def _reflection_cross_per_call(c_prime, material):
