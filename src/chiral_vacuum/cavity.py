@@ -81,8 +81,8 @@ class CavityModeSet:
     @classmethod
     def ladder(cls, start_ev: float, step_ev: float, count: int, veff_nm3: float,
                chirality_factor: float) -> "CavityModeSet":
-        omegas = [start_ev + k * step_ev for k in range(count)]
-        return cls.uniform(omegas, veff_nm3, chirality_factor)
+        start, step = float(start_ev), float(step_ev)
+        return cls.uniform([start + k * step for k in range(count)], veff_nm3, chirality_factor)
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,7 @@ def thermal_ratio_london(mode_omega_ev: float, gap_ev: float, thermal: Thermal) 
     OutOfRegimeError
         If Omega >= E_eg (resonant; treated only qualitatively).
     """
+    mode_omega_ev, gap_ev = float(mode_omega_ev), float(gap_ev)
     if mode_omega_ev >= gap_ev:
         raise OutOfRegimeError(
             f"mode at {mode_omega_ev} eV is resonant with the gap {gap_ev} eV"

@@ -292,8 +292,9 @@ def parse_config(argv: list[str]) -> RunConfig:
         try:
             values[key] = param.parse(value_str)
         except (ValueError, OverflowError, RecursionError) as exc:  # huge ints, deep JSON
-            raise ConfigError(f"cannot parse value {value_str!r}: {exc}",
-                              key=key, line=line)
+            shown = repr(value_str) if len(value_str) <= 80 else \
+                f"{value_str[:80]!r}... ({len(value_str)} characters)"
+            raise ConfigError(f"cannot parse value {shown}: {exc}", key=key, line=line)
         raw[key] = value_str
 
     return RunConfig(command=command, values=values, raw=raw)

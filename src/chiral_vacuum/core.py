@@ -12,9 +12,9 @@ __all__ = ["MoleculeSpectrum", "Thermal", "Transition", "bose_occupation"]
 
 def _store_floats(obj, *names: str, positive: tuple[str, ...] = ()) -> None:
     """Store each named field of the frozen dataclass ``obj`` as a Python
-    float, so that a numpy scalar computes, fails and prints as the float
-    of the same value.  Every field must be finite, and those in
-    ``positive`` also > 0; a ``ValueError`` names the field."""
+    float, as every public entry takes its scalars, so that a numpy scalar
+    computes, fails and prints as the float of its value.  Every field must
+    be finite, and those in ``positive`` also > 0; a ``ValueError`` names it."""
     for name in names:
         value = float(getattr(obj, name))
         if not math.isfinite(value) or (name in positive and value <= 0.0):
@@ -91,7 +91,7 @@ class Thermal:
     @classmethod
     def from_kbt_ev(cls, kbt_ev: float) -> "Thermal":
         """Build from the thermal energy k_B*T given in eV."""
-        return cls(kbt_ev / BOLTZMANN_EV)
+        return cls(float(kbt_ev) / BOLTZMANN_EV)
 
     @property
     def kbt_ev(self) -> float:
@@ -104,7 +104,8 @@ def bose_occupation(omega_ev: float, thermal: Thermal) -> float:
     Parameters
     ----------
     omega_ev : float
-        Mode energy in eV, strictly positive.
+        Mode energy in eV, strictly positive; ``ValueError`` if omega/kT
+        underflows to 0.
     thermal : Thermal
         Temperature; T = 0 returns exactly 0.
 
@@ -113,11 +114,15 @@ def bose_occupation(omega_ev: float, thermal: Thermal) -> float:
     float
         Mean occupation number.
     """
+    omega_ev = float(omega_ev)
     if not omega_ev > 0.0:
         raise ValueError(f"omega must be positive, got {omega_ev}")
     if thermal.temperature_k == 0.0:
         return 0.0
     x = omega_ev / thermal.kbt_ev
+    if x == 0.0:
+        raise ValueError(f"omega / k_B*T underflows to 0 at omega = {omega_ev} eV, "
+                         f"k_B*T = {thermal.kbt_ev} eV")
     if x > 700.0:  # exp would overflow; occupation is below double precision anyway
         return 0.0
     return 1.0 / math.expm1(x)

@@ -158,8 +158,6 @@ def selectivity_sweep(delta_e_grid_mev: Sequence[float],
     if len(delta_e_grid_mev) == 0 or len(temperatures_k) == 0:
         raise ValueError("sweep grids must not be empty")
     thermals = [Thermal(t_k) for t_k in temperatures_k]
-    if profile is None:
-        return [(de, th.temperature_k, selectivity(de, th))
-                for de in delta_e_grid_mev for th in thermals]
-    return [(de, th.temperature_k, selectivity_tst(de, profile, th))
-            for de in delta_e_grid_mev for th in thermals]
+    p = selectivity if profile is None else (lambda de, th: selectivity_tst(de, profile, th))
+    return [(de, th.temperature_k, p(de, th)) for de in map(float, delta_e_grid_mev)
+            for th in thermals]

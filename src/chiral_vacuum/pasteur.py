@@ -155,14 +155,10 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     odd in kappa, so neither QUADPACK nor an array sees the
     NaN, or the 0 of a finite numerator over an infinite denominator.
 
-    Every scalar takes one ``math.sqrt`` body, so a Python float, which
-    QUADPACK passes at every node, pays a single type check; only an
-    ndarray takes the ``np.sqrt`` body, :func:`_reflection_array`.  A
-    float or int never loads numpy; any other argument imports numpy
-    here, at the first such call, to tell an ndarray from a scalar such
-    as ``np.float32``.  Like the material's constants, a float16 or
-    float32 argument is computed at float64: a scalar as ``float(c')``,
-    an array as its float64 copy.  An ``np.float64`` keeps its type.
+    A Python float, which QUADPACK passes at every node, pays a single
+    type check; any other scalar is computed as ``float(c')``.  Only an
+    ndarray takes the ``np.sqrt`` body, :func:`_reflection_array`, at
+    float64.  A float or int never loads numpy.
 
     Parameters
     ----------
@@ -175,12 +171,12 @@ def reflection_cross(c_prime, material: PasteurMaterial):
     float or ndarray
     """
     kr, endpoint, eps_mu, plus_sq, minus_sq, k_diff, two_eta, one_eta_sq = material._reflection
-    if type(c_prime) is not float and not isinstance(c_prime, int):
-        import numpy as np
-        if isinstance(c_prime, np.ndarray):
-            return _reflection_array(c_prime.astype(float, copy=False), material)
-        if isinstance(c_prime, np.floating) and not isinstance(c_prime, float):
-            c_prime = float(c_prime)
+    if type(c_prime) is not float:
+        if not isinstance(c_prime, int):
+            import numpy as np
+            if isinstance(c_prime, np.ndarray):
+                return _reflection_array(c_prime.astype(float, copy=False), material)
+        c_prime = float(c_prime)
     if not c_prime >= 1.0:
         raise ValueError(f"c_prime must be >= 1, got {c_prime}")
     # den, a sum of positive terms, overflows wherever an intermediate does;
@@ -284,8 +280,8 @@ def _g_kernel(x: float, material: PasteurMaterial, rel_tol: float):
     Equals x^3 * int_1^inf dc' exp(-2 x c') (c'^2 - 1) r(c').  The t
     substitution keeps the integrand single-scale for every x, which is
     what makes the nested quadrature cheap.  Returns the :func:`_quad`
-    triple, so an enclosing outer quadrature can finish and attribute a
-    meaningful partial result.  Called for 0 < x < T_CUTOFF only.
+    triple, so the outer quadrature can finish and attribute a partial
+    result.  Its Gauss-Kronrod nodes are interior: 0 < x < T_CUTOFF.
     """
     x_sq = x * x
 
@@ -314,8 +310,6 @@ def _outer_integral(a: float, material: PasteurMaterial, kernel: dict,
 
     def f(x):
         nonlocal worst_inner, inner_failure
-        if x <= 0.0 or x >= T_CUTOFF:
-            return 0.0
         triple = kernel.get(x)
         if triple is None:
             triple = kernel[x] = _g_kernel(x, material, rel_tol)

@@ -309,6 +309,10 @@ def test_temperature_whose_kbt_underflows_exits_2(argv, key, capsys):
      "profile.mass_amu"),  # b/M overflows
     (["tst", "--profile.omega_nu_ev", "1e154", "--profile.curvature_b_ev3", "1e308",
       "--profile.mass_amu", "1e-9"], "profile.curvature_b_ev3"),  # omega**2 + b/M overflows
+    (["debye", "--ensemble.d00", "0.2,0"], "ensemble.d00"),  # two components
+    (["selectivity", "--sweep.delta_e_mev", "1:2"], "sweep.delta_e_mev"),
+    (["selectivity", "--sweep.delta_e_mev", "0:0:1"], "sweep.delta_e_mev"),  # zero step
+    (["cavity", "--cavity.modes_detailed", "[0.1]"], "cavity.modes_detailed"),  # not an object
 ])
 def test_rejected_value_exits_2_naming_its_key(argv, key, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -469,6 +473,8 @@ def test_underflowing_material_product_exits_2(capsys):
     (["--molecule.gap_ev", "1e120", "--sweep.z_list", "1"], "1e+120"),  # E_unit overflows to inf
     (["--sweep.z_min", "1e-300", "--sweep.z_max", "1", "--sweep.z_points", "2",
       "--sweep.z_scale", "log"], "z = 1e-300 "),  # a grid point, named as a Python float
+    (["--molecule.gap_ev", "2,3", "--molecule.im_rot_strength", "0,0.1", "--sweep.z_list", "1"],
+     "first transition has zero rotatory strength"),  # the energy unit is undefined
 ])
 def test_out_of_range_value_exits_1_naming_it(flags, value, tmp_path, capsys):
     path = tmp_path / "out.csv"
@@ -491,3 +497,47 @@ def test_smallest_distances_compute_or_name_the_non_finite_column(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: non-finite result in 'shift_over_Eunit'\n"
+
+
+@pytest.mark.parametrize("command", ["cavity", "debye"])
+def test_mode_energy_whose_ratio_to_kbt_underflows_exits_1(command, tmp_path, capsys):
+    # omega / k_B*T is 0.0, where the Bose occupation 1/expm1(0) divided by zero
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli([command, "--cavity.modes", "1e-320", "--thermal.temperature_k",
+                              "1e300", "--output.path", str(path)], capsys)
+    assert code == 1
+    assert out == "" and not path.exists()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: omega / k_B*T underflows to 0 at omega = 1e-320 eV")
+
+
+@pytest.mark.parametrize("command", ["cavity", "debye"])
+def test_detailed_modes_give_the_rows_of_the_same_uniform_modes(command, capsys):
+    omegas = [0.3, 0.7, 2.5]  # 2.5 eV is resonant with the 2 eV gap
+    detailed = json.dumps([{"omega_ev": w, "veff_nm3": 0.2, "chirality_factor": -0.5}
+                           for w in omegas])
+    code, out_detailed, err = run_cli([command, "--cavity.modes_detailed", detailed], capsys)
+    assert code == 0, err
+    code, out_uniform, err = run_cli([command, "--cavity.modes", "0.3,0.7,2.5"], capsys)
+    assert code == 0, err
+    assert data_rows(out_detailed) == data_rows(out_uniform) != []
+
+
+def test_output_path_in_a_missing_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(["cavity", "--output.path", str(path)], capsys)
+    assert code == 2
+    assert out == "" and not path.exists()
+    assert err.startswith(f"config error: cannot write {str(path)!r}")
+    assert len(err.splitlines()) == 1
+
+
+def test_pasteur_with_zero_rotatory_strengths_writes_zeros(capsys):
+    code, out, err = run_cli(["pasteur", "--material.kappa", "0.4", "--molecule.gap_ev", "2,3",
+                              "--molecule.im_rot_strength", "0,0", "--sweep.z_list", "0.5,2"],
+                             capsys)
+    assert code == 0 and err == ""
+    rows = [[float(v) for v in row.split(",")] for row in data_rows(out)]
+    assert [row[0] for row in rows] == [0.5, 2.0]
+    assert all(v == 0.0 for row in rows for v in row[1:])
+    assert "# note: energy_unit_meV = 0.0" in header_lines(out)

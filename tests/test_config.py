@@ -165,6 +165,29 @@ def test_a_range_and_a_list_of_one_key_share_the_size_cap(key, command, monkeypa
         assert err.value.key == key
 
 
+@pytest.mark.parametrize("argv,message", [
+    ([], "missing command"),
+    (["cavity", "0.3"], "unexpected argument '0.3'"),
+    (["cavity", "--config", "{missing}"], "cannot read config file"),
+])
+def test_argv_rejected_before_any_key_is_parsed(argv, message, tmp_path):
+    argv = [arg.format(missing=tmp_path / "missing.cfg") for arg in argv]
+    with pytest.raises(ConfigError, match=message) as err:
+        parse_config(argv)
+    assert err.value.key is None
+
+
+def test_a_long_rejected_value_is_echoed_in_part(capsys):
+    value = ",".join(["1"] * (config.MAX_GRID_POINTS + 1))
+    assert cli.main(["selectivity", "--sweep.delta_e_mev", value]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert len(line) < 300 and line.endswith(" (key 'sweep.delta_e_mev')")
+    assert f"{value[:80]!r}... ({len(value)} characters)" in line
+    for short in ("x" * 80, "often"):  # up to 80 characters, the value is echoed whole
+        with pytest.raises(ConfigError, match=f"cannot parse value {short!r}:"):
+            parse_config(["pasteur", "--material.kappa", short])
+
+
 def test_equals_form_flags():
     cfg = parse_config(["pasteur", "--material.kappa=0.25"])
     assert cfg["material.kappa"] == 0.25

@@ -89,6 +89,16 @@ def test_bose_no_overflow_for_huge_ratio():
     assert bose_occupation(100.0, Thermal(1.0)) == 0.0
 
 
+@pytest.mark.parametrize("omega,temperature_k", [(1e-320, 1e300), (5e-324, 1e10)])
+def test_bose_rejects_a_ratio_that_underflows_to_zero(omega, temperature_k):
+    # 1/expm1(0) would divide by zero
+    thermal = Thermal(temperature_k)
+    with pytest.raises(ValueError, match="omega / k_B\\*T underflows to 0") as err:
+        bose_occupation(omega, thermal)
+    assert f"omega = {omega} eV" in str(err.value)
+    assert f"k_B*T = {thermal.kbt_ev} eV" in str(err.value)
+
+
 # --------------------------------------------------- isotropic average
 
 # The orientation average that rotatory strengths stand for, and a

@@ -25,6 +25,7 @@ from chiral_vacuum import (
     ReactionProfile,
     Thermal,
     Transition,
+    bose_occupation,
     chiral_shift_halfspace,
     chiral_shift_nonretarded,
     debye_shift_per_molecule,
@@ -33,8 +34,10 @@ from chiral_vacuum import (
     london_shift,
     reflection_cross,
     selectivity,
+    selectivity_sweep,
     selectivity_tst,
     thermal_ratio_debye,
+    thermal_ratio_london,
     zero_point_frequency_shift,
 )
 from chiral_vacuum.acceptance import oracle_dense_halfspace_shift
@@ -42,7 +45,7 @@ from chiral_vacuum.pasteur import _shift_scaled, _transition_weights
 
 FAST = settings(max_examples=100, deadline=None)
 SLOW = settings(max_examples=8, deadline=None)
-PER_ENTRY = settings(max_examples=25, deadline=None)  # ten entries share one property
+PER_ENTRY = settings(max_examples=25, deadline=None)  # 17 entries share one property
 
 gaps = st.floats(0.5, 10.0)
 strengths = st.floats(-1.0, 1.0).filter(lambda s: s != 0.0)
@@ -290,7 +293,8 @@ _MODES = CavityModeSet.ladder(0.1, 0.1, 10, veff_nm3=0.2, chirality_factor=-0.5)
 
 # Each public entry that takes floats: (number of floats, call).  A call
 # returns what it stores and what it computes from it.  The half-space
-# sweep runs at kappa = 0, where the quadrature is quick.
+# sweep runs at kappa = 0, where the quadrature is quick.  A mode energy
+# meets a fixed 300 K, where omega/kT of a drawn value is often moderate.
 _FLOAT_ENTRIES = {
     "Transition": (2, lambda g, s: (Transition(g, s),
                                     energy_unit_mev(MoleculeSpectrum.two_level(g, s)))),
@@ -310,6 +314,14 @@ _FLOAT_ENTRIES = {
     "chiral_shift_nonretarded": (1, lambda z: chiral_shift_nonretarded(
         z, _MOLECULE, PasteurMaterial(2.0, 1.5, 0.6))),
     "halfspace_sweep": (1, lambda z: halfspace_sweep([z], _MOLECULE, PasteurMaterial())),
+    "reflection_cross": (1, lambda c: reflection_cross(c, PasteurMaterial(2.0, 1.5, 0.6))),
+    "bose_occupation": (1, lambda w: bose_occupation(w, Thermal(300.0))),
+    "thermal_ratio_debye": (1, lambda w: thermal_ratio_debye(w, Thermal(300.0))),
+    "thermal_ratio_london": (3, lambda w, g, t: thermal_ratio_london(w, g, Thermal(t))),
+    "Thermal.from_kbt_ev": (1, Thermal.from_kbt_ev),
+    "CavityModeSet.ladder": (2, lambda w, dw: CavityModeSet.ladder(w, dw, 10, 0.2, -0.5)),
+    "selectivity_sweep": (3, lambda de, t, b: (selectivity_sweep([de], [t]), selectivity_sweep(
+        [de], [t], ReactionProfile(1.0, 0.1, b)))),
 }
 
 
