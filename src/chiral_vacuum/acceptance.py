@@ -208,7 +208,7 @@ def criterion_6_symmetry_suite() -> CriterionResult:
 
     ens = PolarizedEnsemble((0.2, -0.1, 0.3), (0.4, 1.0, -0.2), 5)
     base = debye_shift_per_molecule(_TEN_MODES, ens)
-    permuted = CavityModeSet(tuple(reversed(_TEN_MODES.modes)))
+    permuted = CavityModeSet(reversed(_TEN_MODES.modes))
     if debye_shift_per_molecule(permuted, ens) != base:
         failures.append("Debye not invariant under mode-frequency permutation")
 

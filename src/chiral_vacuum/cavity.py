@@ -26,7 +26,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import MoleculeSpectrum, Thermal, Transition, _store_floats, bose_occupation
+from .core import MoleculeSpectrum, Thermal, Transition, _positive_count, _store_floats, \
+    _store_tuple, bose_occupation
 from .units import BOHR_RADIUS_NM, FINE_STRUCTURE, RYDBERG_EV
 
 __all__ = [
@@ -70,18 +71,17 @@ class CavityModeSet:
     modes: tuple[CavityMode, ...]
 
     def __post_init__(self):
-        if not self.modes:
-            raise ValueError("mode set must not be empty")
+        _store_tuple(self, "modes")
 
     @classmethod
     def uniform(cls, omegas_ev: Sequence[float], veff_nm3: float,
                 chirality_factor: float) -> "CavityModeSet":
-        return cls(tuple(CavityMode(w, veff_nm3, chirality_factor) for w in omegas_ev))
+        return cls(CavityMode(w, veff_nm3, chirality_factor) for w in omegas_ev)
 
     @classmethod
     def ladder(cls, start_ev: float, step_ev: float, count: int, veff_nm3: float,
                chirality_factor: float) -> "CavityModeSet":
-        start, step = float(start_ev), float(step_ev)
+        start, step, count = float(start_ev), float(step_ev), _positive_count(count, "count")
         return cls.uniform([start + k * step for k in range(count)], veff_nm3, chirality_factor)
 
 
@@ -106,10 +106,8 @@ class PolarizedEnsemble:
             raise ValueError("dipole moments must be 3-vectors")
         if not all(map(math.isfinite, (*self.d00, *self.m00))):
             raise ValueError(f"dipole components must be finite, got {self.d00}, {self.m00}")
-        n = self.n_molecules
-        if not (isinstance(n, int) and not isinstance(n, bool) and n > 0):
-            raise ValueError(f"n_molecules must be a positive integer, got {n}")
-        if n > sys.float_info.max:  # the shifts multiply floats by n
+        object.__setattr__(self, "n_molecules", _positive_count(self.n_molecules, "n_molecules"))
+        if self.n_molecules > sys.float_info.max:  # the shifts multiply floats by n
             raise ValueError("n_molecules is too large to convert to a float")
 
     def mirror(self) -> "PolarizedEnsemble":

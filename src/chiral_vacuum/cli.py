@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import acceptance
 from .cavity import (
     CavityMode,
     CavityModeSet,
@@ -46,7 +45,7 @@ def _build_molecule(config: RunConfig) -> MoleculeSpectrum:
 
 def _build_modes(config: RunConfig) -> CavityModeSet:
     if config["cavity.modes_detailed"] is not None:
-        return _build(lambda entries: CavityModeSet(tuple(CavityMode(**e) for e in entries)),
+        return _build(lambda entries: CavityModeSet(CavityMode(**e) for e in entries),
                       config, "cavity.modes_detailed")
     return _build(CavityModeSet.uniform, config,
                   "cavity.modes", "cavity.veff_nm3", "cavity.chirality_factor")
@@ -192,6 +191,7 @@ def _run_tst(config: RunConfig) -> tuple[tuple, int]:
 
 
 def _run_verify(config: RunConfig) -> tuple[tuple, int]:
+    from . import acceptance  # only verify needs the suite and its fixtures
     results = acceptance.run_all()
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.index}. {r.name}: {r.detail}",

@@ -36,7 +36,10 @@ MAX_GRID_POINTS = 1_000_000
 
 
 def _parse_float(s: str) -> float:
-    value = float(s)
+    try:  # float's own reason repeats s, which parse_config echoes once, clipped
+        value = float(s)
+    except ValueError:
+        raise ValueError("not a number") from None
     if not math.isfinite(value):
         raise ValueError(f"value must be finite, got {value}")
     return value
@@ -49,13 +52,26 @@ def _parse_positive_float(s: str) -> float:
     return value
 
 
+def _parse_int(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError:
+        raise ValueError("not an integer") from None
+
+
 def _parse_list(s: str, parse_item: Callable[[str], object] = _parse_float) -> list:
     items = [p.strip() for p in s.split(",") if p.strip()]
     if not items:
         raise ValueError("empty list")
     if len(items) > MAX_GRID_POINTS:
         raise ValueError(f"list has more than {MAX_GRID_POINTS} values")
-    return [parse_item(p) for p in items]
+    values = []
+    for i, p in enumerate(items, 1):
+        try:
+            values.append(parse_item(p))
+        except ValueError as exc:
+            raise ValueError(f"item {i}: {exc}") from None
+    return values
 
 
 def _parse_optional_positive_list(s: str) -> Optional[list[float]]:
@@ -63,7 +79,7 @@ def _parse_optional_positive_list(s: str) -> Optional[list[float]]:
 
 
 def _parse_grid_points(s: str) -> int:
-    n = int(s)
+    n = _parse_int(s)
     if not 1 <= n <= MAX_GRID_POINTS:
         raise ValueError(f"count must lie in [1, {MAX_GRID_POINTS}]")
     return n
@@ -157,7 +173,7 @@ REGISTRY: dict[str, ParamSpec] = {
                               "permanent electric dipole in e*a0"),
     "ensemble.m00": ParamSpec(_parse_vec3, "0,1,0",
                               "permanent magnetic dipole in mu_B"),
-    "ensemble.n_molecules": ParamSpec(int, "100", "ignored: debye takes N from sweep.n_list"),
+    "ensemble.n_molecules": ParamSpec(_parse_int, "100", "ignored: debye takes N from sweep.n_list"),
     "thermal.temperature_k": ParamSpec(_parse_float, "300", "temperature in K"),
     "thermal.temperatures": ParamSpec(_parse_list, "200,300,400",
                                       "temperature list in K for sweeps"),
@@ -169,7 +185,7 @@ REGISTRY: dict[str, ParamSpec] = {
                               "explicit z list (overrides min/max)"),
     "sweep.delta_e_mev": ParamSpec(_parse_grid, "-100:5:100",
                                    "energy-shift grid in meV"),
-    "sweep.n_list": ParamSpec(lambda s: _parse_list(s, int), "1,10,100",
+    "sweep.n_list": ParamSpec(lambda s: _parse_list(s, _parse_int), "1,10,100",
                               "molecule counts for the collective sweep"),
     "profile.barrier_ev": ParamSpec(_parse_float, "1.0", "barrier height in eV"),
     "profile.omega_nu_ev": ParamSpec(_parse_float, "0.1",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .units import BOLTZMANN_EV
@@ -21,6 +22,27 @@ def _store_floats(obj, *names: str, positive: tuple[str, ...] = ()) -> None:
             rule = "positive and finite" if name in positive else "finite"
             raise ValueError(f"{name} must be {rule}, got {value}")
         object.__setattr__(obj, name, value)
+
+
+def _store_tuple(obj, name: str) -> None:
+    """Store the sequence field ``name`` of ``obj`` as a tuple, so that any iterable
+    of the same entries gives one hashable value; ``ValueError`` if it is empty."""
+    value = tuple(getattr(obj, name))
+    if not value:
+        raise ValueError(f"{name} must not be empty")
+    object.__setattr__(obj, name, value)
+
+
+def _positive_count(value, name: str) -> int:
+    """``value`` as a Python int, as every public entry takes a count: any integer
+    type but bool; anything else or a count below 1 is a ``ValueError`` naming it."""
+    try:
+        n = 0 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -50,8 +72,7 @@ class MoleculeSpectrum:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self):
-        if not self.transitions:
-            raise ValueError("molecule needs at least one transition")
+        _store_tuple(self, "transitions")
 
     @classmethod
     def two_level(cls, gap_ev: float, im_rot_strength: float) -> "MoleculeSpectrum":
@@ -61,13 +82,11 @@ class MoleculeSpectrum:
     def from_lists(cls, gaps_ev, strengths) -> "MoleculeSpectrum":
         if len(gaps_ev) != len(strengths):
             raise ValueError("gap and rotatory-strength lists must have equal length")
-        return cls(tuple(Transition(g, s) for g, s in zip(gaps_ev, strengths)))
+        return cls(Transition(g, s) for g, s in zip(gaps_ev, strengths))
 
     def mirror(self) -> "MoleculeSpectrum":
         """Return the mirror-image enantiomer: every rotatory strength negated."""
-        return MoleculeSpectrum(
-            tuple(Transition(t.gap_ev, -t.im_rot_strength) for t in self.transitions)
-        )
+        return MoleculeSpectrum(Transition(t.gap_ev, -t.im_rot_strength) for t in self.transitions)
 
 
 @dataclass(frozen=True)

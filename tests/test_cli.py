@@ -416,7 +416,8 @@ def test_json_rejects_nan_cells_and_renders_none_as_null():
 
 def test_commands_without_quadrature_do_not_import_scipy():
     # scipy.integrate is most of the package's import time; only a
-    # half-space quadrature (pasteur, verify) may load it.
+    # half-space quadrature (pasteur, verify) may load it.  The acceptance
+    # suite and its fixtures are loaded by verify alone.
     code = textwrap.dedent("""
         import sys
         import chiral_vacuum, chiral_vacuum.cli
@@ -427,6 +428,7 @@ def test_commands_without_quadrature_do_not_import_scipy():
                                        "--sweep.z_list", "0.5",
                                        "--output.path", sys.argv[1]]) == 0
         assert "scipy.integrate" in sys.modules
+        assert "chiral_vacuum.acceptance" not in sys.modules
     """)
     src_dir = os.path.dirname(os.path.dirname(chiral_vacuum.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -178,11 +178,21 @@ def test_argv_rejected_before_any_key_is_parsed(argv, message, tmp_path):
 
 
 def test_a_long_rejected_value_is_echoed_in_part(capsys):
-    value = ",".join(["1"] * (config.MAX_GRID_POINTS + 1))
-    assert cli.main(["selectivity", "--sweep.delta_e_mev", value]) == 2
-    [line] = capsys.readouterr().err.splitlines()
-    assert len(line) < 300 and line.endswith(" (key 'sweep.delta_e_mev')")
-    assert f"{value[:80]!r}... ({len(value)} characters)" in line
+    # float() and int() repeat a bad item in their own reasons; the value
+    # is echoed once, clipped, with a fixed reason that names the item
+    word = "x" * 100_000
+    for command, key, value, reason in [
+        ("selectivity", "sweep.delta_e_mev", ",".join(["1"] * (config.MAX_GRID_POINTS + 1)),
+         f"list has more than {config.MAX_GRID_POINTS} values"),
+        ("pasteur", "material.kappa", word, "not a number"),
+        ("selectivity", "sweep.delta_e_mev", "1,2," + word, "item 3: not a number"),
+        ("debye", "sweep.n_list", "1,2," + word, "item 3: not an integer"),
+        ("pasteur", "sweep.z_points", word, "not an integer"),
+    ]:
+        assert cli.main([command, f"--{key}", value]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert len(line) < 300 and line.endswith(f" (key {key!r})")
+        assert f"{value[:80]!r}... ({len(value)} characters): {reason} (key" in line
     for short in ("x" * 80, "often"):  # up to 80 characters, the value is echoed whole
         with pytest.raises(ConfigError, match=f"cannot parse value {short!r}:"):
             parse_config(["pasteur", "--material.kappa", short])

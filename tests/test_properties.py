@@ -1,9 +1,10 @@
 """Property tests for the paper's exact invariants over random inputs.
 
 Most properties are identities the code must meet bit for bit, so the
-comparison is ``==``.  Two check inputs: every domain constructor
-rejects a non-finite float, and a numpy scalar gives the result of the
-float of the same value.  One checks that the half-space shift's
+comparison is ``==``.  Some check inputs: every domain constructor
+rejects a non-finite float, a numpy scalar gives the result of the float
+of the same value, a numpy integer count that of the int, and any
+sequence of the same transitions or modes one object.  One checks that the half-space shift's
 reported error bounds its distance from the acceptance oracle.
 ``max_examples`` keeps each test well under 1 s, and the error-bound
 property at about 1 s.
@@ -26,6 +27,7 @@ from chiral_vacuum import (
     Thermal,
     Transition,
     bose_occupation,
+    cavity_shift_report,
     chiral_shift_halfspace,
     chiral_shift_nonretarded,
     debye_shift_per_molecule,
@@ -344,3 +346,61 @@ def test_numpy_scalar_gives_the_float_result(name, data, np_type):
     values = data.draw(st.lists(st.floats(width=width) | st.floats(-16.0, 16.0, width=width),
                                 min_size=n, max_size=n))
     assert _outcome(call, [np_type(v) for v in values]) == _outcome(call, values)
+
+
+# Each public entry that takes a count: (argument name, call).  A call
+# returns what it stores and, for the ensemble, what it computes from it.
+_COUNT_ENTRIES = {
+    "PolarizedEnsemble": ("n_molecules", lambda n: (
+        PolarizedEnsemble((0.2, 0.0, 0.0), (0.0, 1.0, 0.0), n),
+        debye_shift_per_molecule(_MODES, PolarizedEnsemble((0.2, 0.0, 0.0), (0.0, 1.0, 0.0), n)))),
+    "CavityModeSet.ladder": ("count", lambda n: CavityModeSet.ladder(0.1, 0.1, n, 0.2, -0.5)),
+}
+_NP_INTEGERS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("name", list(_COUNT_ENTRIES))
+@PER_ENTRY
+@given(data=st.data(), np_type=st.sampled_from(_NP_INTEGERS))
+def test_numpy_integer_gives_the_int_result(name, data, np_type):
+    _, call = _COUNT_ENTRIES[name]
+    n = data.draw(st.integers(max(-3, int(np.iinfo(np_type).min)), 40))
+    assert _outcome(call, [np_type(n)]) == _outcome(call, [n])
+
+
+@pytest.mark.parametrize("name", list(_COUNT_ENTRIES))
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), 3.0, np.float64(3.0), "3", None])
+def test_a_bool_or_non_integer_count_is_rejected_naming_it(name, bad):
+    arg, call = _COUNT_ENTRIES[name]
+    with pytest.raises(ValueError, match=f"^{arg} must be a positive integer"):
+        call(bad)
+
+
+def _object_array(entries):
+    array = np.empty(len(entries), dtype=object)
+    array[:] = entries
+    return array
+
+
+_SEQUENCE_FORMS = {"list": list, "tuple": tuple, "generator": lambda es: (e for e in es),
+                   "object array": _object_array}
+
+
+@FAST
+@given(mol=molecules, mode_set=modes, form=st.sampled_from(list(_SEQUENCE_FORMS)))
+@example(mol=MoleculeSpectrum.from_lists([2.0, 3.0], [0.1, 0.05]),
+         mode_set=CavityModeSet.ladder(0.1, 0.1, 3, 0.2, -0.5), form="generator")
+def test_any_sequence_of_the_same_entries_gives_one_object(mol, mode_set, form):
+    # a generator is drained once, when it is stored, and not by the first sum
+    make = _SEQUENCE_FORMS[form]
+    same_mol = MoleculeSpectrum(make(list(mol.transitions)))
+    same_modes = CavityModeSet(make(list(mode_set.modes)))
+    assert same_mol == mol and hash(same_mol) == hash(mol)
+    assert same_modes == mode_set and hash(same_modes) == hash(mode_set)
+    ens, thermal = PolarizedEnsemble((0.2, 0.3, 0.0), (0.0, 1.0, 0.4), 7), Thermal(300.0)
+    for _ in range(2):
+        assert london_shift(same_modes, same_mol) == london_shift(mode_set, mol)
+        assert cavity_shift_report(same_modes, same_mol, thermal=thermal) == \
+            cavity_shift_report(mode_set, mol, thermal=thermal)
+        assert debye_shift_per_molecule(same_modes, ens, thermal=thermal) == \
+            debye_shift_per_molecule(mode_set, ens, thermal=thermal)
