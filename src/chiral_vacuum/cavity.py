@@ -26,8 +26,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import MoleculeSpectrum, Thermal, Transition, _positive_count, _store_floats, \
-    _store_tuple, bose_occupation
+from .core import MoleculeSpectrum, Thermal, Transition, _positive_count, _sequence, \
+    _store_floats, bose_occupation
 from .units import BOHR_RADIUS_NM, FINE_STRUCTURE, RYDBERG_EV
 
 __all__ = [
@@ -71,12 +71,13 @@ class CavityModeSet:
     modes: tuple[CavityMode, ...]
 
     def __post_init__(self):
-        _store_tuple(self, "modes")
+        object.__setattr__(self, "modes", _sequence(self.modes, "modes"))
 
     @classmethod
     def uniform(cls, omegas_ev: Sequence[float], veff_nm3: float,
                 chirality_factor: float) -> "CavityModeSet":
-        return cls(CavityMode(w, veff_nm3, chirality_factor) for w in omegas_ev)
+        return cls(CavityMode(w, veff_nm3, chirality_factor)
+                   for w in _sequence(omegas_ev, "omegas_ev"))
 
     @classmethod
     def ladder(cls, start_ev: float, step_ev: float, count: int, veff_nm3: float,
@@ -100,8 +101,8 @@ class PolarizedEnsemble:
     n_molecules: int
 
     def __post_init__(self):
-        object.__setattr__(self, "d00", tuple(map(float, self.d00)))
-        object.__setattr__(self, "m00", tuple(map(float, self.m00)))
+        object.__setattr__(self, "d00", tuple(map(float, _sequence(self.d00, "d00"))))
+        object.__setattr__(self, "m00", tuple(map(float, _sequence(self.m00, "m00"))))
         if len(self.d00) != 3 or len(self.m00) != 3:
             raise ValueError("dipole moments must be 3-vectors")
         if not all(map(math.isfinite, (*self.d00, *self.m00))):

@@ -24,13 +24,17 @@ def _store_floats(obj, *names: str, positive: tuple[str, ...] = ()) -> None:
         object.__setattr__(obj, name, value)
 
 
-def _store_tuple(obj, name: str) -> None:
-    """Store the sequence field ``name`` of ``obj`` as a tuple, so that any iterable
-    of the same entries gives one hashable value; ``ValueError`` if it is empty."""
-    value = tuple(getattr(obj, name))
-    if not value:
-        raise ValueError(f"{name} must not be empty")
-    object.__setattr__(obj, name, value)
+def _sequence(value, name: str) -> tuple:
+    """``value`` read once into a tuple, as every public entry takes a sequence: any iterable
+    but a str or bytes.  Anything else, or no entries, is a ``ValueError`` naming it."""
+    try:
+        entries = () if isinstance(value, (str, bytes)) else iter(value)
+    except TypeError:  # not iterable
+        entries = ()
+    entries = tuple(entries)
+    if not entries:
+        raise ValueError(f"{name} must be a non-empty sequence, got {value!r:.80}")
+    return entries
 
 
 def _positive_count(value, name: str) -> int:
@@ -72,7 +76,7 @@ class MoleculeSpectrum:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self):
-        _store_tuple(self, "transitions")
+        object.__setattr__(self, "transitions", _sequence(self.transitions, "transitions"))
 
     @classmethod
     def two_level(cls, gap_ev: float, im_rot_strength: float) -> "MoleculeSpectrum":
@@ -80,6 +84,7 @@ class MoleculeSpectrum:
 
     @classmethod
     def from_lists(cls, gaps_ev, strengths) -> "MoleculeSpectrum":
+        gaps_ev, strengths = _sequence(gaps_ev, "gaps_ev"), _sequence(strengths, "strengths")
         if len(gaps_ev) != len(strengths):
             raise ValueError("gap and rotatory-strength lists must have equal length")
         return cls(Transition(g, s) for g, s in zip(gaps_ev, strengths))

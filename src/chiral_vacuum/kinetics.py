@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Thermal, _store_floats
+from .core import Thermal, _sequence, _store_floats
 from .units import ATOMIC_MASS_EV
 
 __all__ = [
@@ -155,9 +155,8 @@ def selectivity_sweep(delta_e_grid_mev: Sequence[float],
     ``(delta_e_mev, temperature_k, p)`` tuples ordered by the input
     grids, shift-major.
     """
-    if len(delta_e_grid_mev) == 0 or len(temperatures_k) == 0:
-        raise ValueError("sweep grids must not be empty")
-    thermals = [Thermal(t_k) for t_k in temperatures_k]
+    delta_e_grid_mev = _sequence(delta_e_grid_mev, "delta_e_grid_mev")
+    thermals = [Thermal(t_k) for t_k in _sequence(temperatures_k, "temperatures_k")]
     p = selectivity if profile is None else (lambda de, th: selectivity_tst(de, profile, th))
     return [(de, th.temperature_k, p(de, th)) for de in map(float, delta_e_grid_mev)
             for th in thermals]

@@ -28,7 +28,7 @@ from math import exp as _exp, inf as _inf, sqrt as _sqrt
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import MoleculeSpectrum, _store_floats
+from .core import MoleculeSpectrum, _sequence, _store_floats
 from .units import E_CHARGE, HBAR, C_LIGHT, MU_0, BOHR_RADIUS, BOHR_MAGNETON, HBARC_EV_NM
 
 __all__ = [
@@ -384,9 +384,12 @@ def _transition_weights(molecule: MoleculeSpectrum):
 
 
 def _shift_scaled(z_grid: Sequence[float], molecule: MoleculeSpectrum,
-                  material: PasteurMaterial, rel_tol: float = REL_TOL):
+                  material: PasteurMaterial, rel_tol: float = REL_TOL, check=None):
     """Yield (shift, error estimate, first failure message or None) at each z
     of ``z_grid``, in units of the first transition's energy scale.
+
+    Each z in turn is checked (z > 0, a^2 > 0 at each transition, then
+    ``check(z)`` if given) before the first quadrature, so a bad z costs none.
 
     Transition i adds (ImR_i/ImR_1) (E_i/E_1) I(a)/z^2 at a = z E_i/E_1.
     Its weight (ImR_i/ImR_1) (E_i/E_1)^3 is never formed: that underflows
@@ -398,22 +401,25 @@ def _shift_scaled(z_grid: Sequence[float], molecule: MoleculeSpectrum,
     depends on x alone, so each point is bit-identical to a one-point grid.
     Only the acceptance suite's tolerance-halving check passes a ``rel_tol``.
     """
-    kernel = {}
-    for z in map(float, z_grid):
+    weights = [(g, s) for g, s in _transition_weights(molecule) if s != 0.0]
+    z_grid = [float(z) for z in z_grid]
+    for z in z_grid:
         if not z > 0.0:
             raise ValueError(f"z must be positive, got {z}")
-        # the first transition has a = z, so the a^2 check below also keeps z^2 > 0
-        z_sq = z * z
-        total = 0.0
-        total_err = 0.0
-        failure = None
-        for gap_ratio, strength_ratio in _transition_weights(molecule):
-            if strength_ratio == 0.0:
-                continue
+        # the first transition has a = z, so these checks also keep z^2 > 0
+        for gap_ratio, _ in weights:
             a = z * gap_ratio
-            a_sq = a * a
-            if a_sq == 0.0:
+            if a * a == 0.0:
                 raise ValueError(f"z = {z!r} is out of range: ({a!r})**2 underflows to 0")
+        if check is not None:
+            check(z)
+    kernel = {}
+    for z in z_grid:
+        z_sq = z * z
+        total = total_err = 0.0
+        failure = None
+        for gap_ratio, strength_ratio in weights:
+            a = z * gap_ratio
             val, err, message = _outer_integral(a, material, kernel, rel_tol)
             if not math.isfinite(val):  # g(x) / (a^2 + x^2) overflows where a^2 is subnormal
                 raise ValueError(f"z = {z!r} is out of range: the integral at a = {a!r} "
@@ -482,25 +488,24 @@ def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
                     material: PasteurMaterial) -> list[HalfspaceResult]:
     """Evaluate the full and non-retarded shifts on a grid of distances.
 
-    Per-point quadrature failures are reported in the ``warning`` field of
-    the corresponding result instead of aborting the sweep.  The points
-    share their inner integrals, and each result is bit-identical to its
-    point alone.
+    Every z is checked, the range of its non-retarded z^3 included, before
+    the first quadrature.  Per-point quadrature failures are reported in the
+    ``warning`` field of the corresponding result instead of aborting the
+    sweep.  The points share their inner integrals, and each result is
+    bit-identical to its point alone.
     """
-    if len(z_grid) == 0:
-        raise ValueError("z grid must not be empty")
+    z_grid = _sequence(z_grid, "z_grid")
     e_mev = energy_unit_mev(molecule)
-    results = []
-    for z, (val, err, warning) in zip(z_grid, _shift_scaled(z_grid, molecule, material)):
-        nr = chiral_shift_nonretarded(z, molecule, material)
-        results.append(HalfspaceResult(
-            z_over_zunit=float(z),
-            shift_eunit=val,
-            shift_mev=val * e_mev,
-            nonretarded_eunit=nr,
-            nonretarded_mev=nr * e_mev,
-            error_eunit=err,
-            error_mev=err * abs(e_mev),
-            warning=warning,
-        ))
-    return results
+    nonretarded = []  # each z's, taken with that z's checks, before the first quadrature
+    points = list(_shift_scaled(z_grid, molecule, material, check=lambda z: nonretarded.append(
+        chiral_shift_nonretarded(z, molecule, material))))
+    return [HalfspaceResult(
+        z_over_zunit=float(z),
+        shift_eunit=val,
+        shift_mev=val * e_mev,
+        nonretarded_eunit=nr,
+        nonretarded_mev=nr * e_mev,
+        error_eunit=err,
+        error_mev=err * abs(e_mev),
+        warning=warning,
+    ) for z, nr, (val, err, warning) in zip(z_grid, nonretarded, points)]

@@ -650,6 +650,29 @@ def test_sweep_rejects_empty_grid():
         halfspace_sweep([], MOL, VACUUMLIKE)
 
 
+@pytest.mark.parametrize("grid,message", [
+    ([0.5, 1.0, 2.0, 1e-108], "z = 1e-108 is out of range: z**3 leaves the float range"),
+    ([0.5, 1e-200], "z = 1e-200 is out of range: (1e-200)**2 underflows to 0"),
+    ([0.5, -1.0], "z must be positive, got -1.0"),
+])
+def test_sweep_checks_every_z_before_the_first_quadrature(grid, message, monkeypatch):
+    # the message is the bad point's alone; no node of any point is spent on it
+    calls = []
+
+    def counted(c_prime, material):
+        calls.append(c_prime)
+        return reflection_cross(c_prime, material)
+
+    monkeypatch.setattr(pasteur, "reflection_cross", counted)
+    for bad_grid in (grid, grid[-1:]):
+        with pytest.raises(ValueError) as err:
+            halfspace_sweep(bad_grid, MOL, VACUUMLIKE)
+        assert str(err.value) == message
+    assert calls == []
+    chiral_shift_halfspace(grid[0], MOL, VACUUMLIKE)  # the counter sees every node
+    assert calls
+
+
 def test_halving_tolerance_stays_within_estimate():
     for z in (0.3, 1.0):
         [(val, est, failure)] = _shift_scaled([z], MOL, VACUUMLIKE)

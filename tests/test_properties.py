@@ -3,8 +3,10 @@
 Most properties are identities the code must meet bit for bit, so the
 comparison is ``==``.  Some check inputs: every domain constructor
 rejects a non-finite float, a numpy scalar gives the result of the float
-of the same value, a numpy integer count that of the int, and any
-sequence of the same transitions or modes one object.  One checks that the half-space shift's
+of the same value, a numpy integer count that of the int, any
+sequence of the same transitions or modes one object, any sequence of
+the same floats one result, and a string, a number or an empty sequence
+a ``ValueError`` naming the argument.  One checks that the half-space shift's
 reported error bounds its distance from the acceptance oracle.
 ``max_examples`` keeps each test well under 1 s, and the error-bound
 property at about 1 s.
@@ -404,3 +406,52 @@ def test_any_sequence_of_the_same_entries_gives_one_object(mol, mode_set, form):
             cavity_shift_report(mode_set, mol, thermal=thermal)
         assert debye_shift_per_molecule(same_modes, ens, thermal=thermal) == \
             debye_shift_per_molecule(mode_set, ens, thermal=thermal)
+
+
+# Each public function that takes a sequence of floats, called with each
+# such argument made by one form.
+_FUNCTION_ENTRIES = {
+    "MoleculeSpectrum.from_lists": lambda make: MoleculeSpectrum.from_lists(
+        make([2.0, 3.5]), make([0.1, -0.04])),
+    "CavityModeSet.uniform": lambda make: CavityModeSet.uniform(make([0.1, 0.2, 0.3]), 0.2, -0.5),
+    "halfspace_sweep": lambda make: halfspace_sweep(make([0.5, 2.0]), _MOLECULE,
+                                                    PasteurMaterial(2.0, 1.5, 0.6)),
+    "selectivity_sweep": lambda make: selectivity_sweep(make([-3.0, 0.0, 30.0]),
+                                                        make([150.0, 300.0])),
+}
+
+
+@pytest.mark.parametrize("name", list(_FUNCTION_ENTRIES))
+def test_any_sequence_of_the_same_floats_gives_one_result(name):
+    call = _FUNCTION_ENTRIES[name]
+    expected = repr(call(list))
+    for form, make in {**_SEQUENCE_FORMS, "float array": np.array}.items():
+        assert repr(call(make)) == expected, form
+
+
+# Each public entry that takes a sequence: (argument name, call on it).
+_SEQUENCE_ENTRIES = {
+    "MoleculeSpectrum": ("transitions", MoleculeSpectrum),
+    "CavityModeSet": ("modes", CavityModeSet),
+    "PolarizedEnsemble.d00": ("d00", lambda d: PolarizedEnsemble(d, (0.0, 1.0, 0.0), 7)),
+    "PolarizedEnsemble.m00": ("m00", lambda m: PolarizedEnsemble((0.2, 0.0, 0.0), m, 7)),
+    "MoleculeSpectrum.from_lists.gaps": ("gaps_ev", lambda g: MoleculeSpectrum.from_lists(
+        g, [0.1, 0.1, 0.1])),
+    "MoleculeSpectrum.from_lists.strengths": ("strengths", lambda s: MoleculeSpectrum.from_lists(
+        [2.0, 3.0, 4.0], s)),
+    "CavityModeSet.uniform": ("omegas_ev", lambda w: CavityModeSet.uniform(w, 0.2, -0.5)),
+    "halfspace_sweep": ("z_grid", lambda z: halfspace_sweep(z, _MOLECULE, PasteurMaterial())),
+    "selectivity_sweep.shifts": ("delta_e_grid_mev", lambda de: selectivity_sweep(de, [300.0])),
+    "selectivity_sweep.temperatures": ("temperatures_k", lambda t: selectivity_sweep([1.0], t)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SEQUENCE_ENTRIES))
+@pytest.mark.parametrize("bad", ["123", b"123", 5.0, np.float64(5.0), np.array(5.0), None,
+                                 [], (), (e for e in ())],
+                         ids=["str", "bytes", "float", "np.float64", "0-d array", "None",
+                              "empty list", "empty tuple", "empty generator"])
+def test_a_string_number_or_empty_sequence_is_rejected_naming_it(name, bad):
+    arg, call = _SEQUENCE_ENTRIES[name]
+    with pytest.raises(ValueError, match=f"^{arg} must be a non-empty sequence"):
+        call(bad)
