@@ -106,7 +106,7 @@ _KBT_034 = Thermal.from_kbt_ev(0.034)
 
 def _shift(z, molecule, material, failures, rel_tol=REL_TOL):
     """Scaled shift and error estimate; a quadrature failure goes into ``failures``."""
-    [(val, err, failure)] = _shift_scaled([z], molecule, material, rel_tol)
+    [(_, val, err, failure)] = _shift_scaled([z], molecule, material, rel_tol)
     if failure is not None:
         failures.append(f"quadrature failed at z={z}: {failure}")
     return val, err

@@ -71,7 +71,7 @@ class CavityModeSet:
     modes: tuple[CavityMode, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", _sequence(self.modes, "modes"))
+        object.__setattr__(self, "modes", _sequence(self.modes, "modes", CavityMode))
 
     @classmethod
     def uniform(cls, omegas_ev: Sequence[float], veff_nm3: float,
@@ -91,9 +91,8 @@ class PolarizedEnsemble:
     """Polarized ensemble of N identical molecules with permanent dipoles.
 
     ``d00`` is the ground-state electric dipole in units of e*a0 and
-    ``m00`` the magnetic dipole in mu_B.  Mirroring across the y-z plane
-    flips d_x and leaves m00 fixed, which flips the Debye shift exactly
-    when d_y m_x = 0.
+    ``m00`` the magnetic dipole in mu_B.  ``mirror()`` is the parity image
+    (-d, m), under which the Debye shift changes sign exactly.
     """
 
     d00: tuple[float, float, float]
@@ -112,8 +111,7 @@ class PolarizedEnsemble:
             raise ValueError("n_molecules is too large to convert to a float")
 
     def mirror(self) -> "PolarizedEnsemble":
-        dx, dy, dz = self.d00
-        return PolarizedEnsemble((-dx, dy, dz), self.m00, self.n_molecules)
+        return PolarizedEnsemble((-d for d in self.d00), self.m00, self.n_molecules)
 
 
 def _london_single(mode: CavityMode, t: Transition) -> float:
@@ -153,7 +151,7 @@ def debye_shift_per_molecule(modes: CavityModeSet, ensemble: PolarizedEnsemble, 
     does not depend on the mode frequency, bit-identical under any
     permutation of frequencies.  At T > 0 each mode's term is taken times
     N and times its ratio ``thermal_ratio_debye``, then summed.  Either
-    way ``ensemble.mirror()`` flips its sign exactly when d_y m_x = 0.
+    way ``ensemble.mirror()`` flips its sign exactly.
     """
     n = ensemble.n_molecules
     if thermal.temperature_k == 0.0:

@@ -24,9 +24,10 @@ def _store_floats(obj, *names: str, positive: tuple[str, ...] = ()) -> None:
         object.__setattr__(obj, name, value)
 
 
-def _sequence(value, name: str) -> tuple:
+def _sequence(value, name: str, kind: type = object) -> tuple:
     """``value`` read once into a tuple, as every public entry takes a sequence: any iterable
-    but a str or bytes.  Anything else, or no entries, is a ``ValueError`` naming it."""
+    but a str or bytes, each entry a ``kind``.  Anything else, no entries or an entry of
+    another type is a ``ValueError`` naming it."""
     try:
         entries = () if isinstance(value, (str, bytes)) else iter(value)
     except TypeError:  # not iterable
@@ -34,6 +35,9 @@ def _sequence(value, name: str) -> tuple:
     entries = tuple(entries)
     if not entries:
         raise ValueError(f"{name} must be a non-empty sequence, got {value!r:.80}")
+    for entry in entries:
+        if not isinstance(entry, kind):
+            raise ValueError(f"{name} entries must be {kind.__name__}, got {entry!r:.80}")
     return entries
 
 
@@ -76,7 +80,8 @@ class MoleculeSpectrum:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", _sequence(self.transitions, "transitions"))
+        object.__setattr__(self, "transitions",
+                           _sequence(self.transitions, "transitions", Transition))
 
     @classmethod
     def two_level(cls, gap_ev: float, im_rot_strength: float) -> "MoleculeSpectrum":

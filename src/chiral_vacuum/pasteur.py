@@ -384,12 +384,13 @@ def _transition_weights(molecule: MoleculeSpectrum):
 
 
 def _shift_scaled(z_grid: Sequence[float], molecule: MoleculeSpectrum,
-                  material: PasteurMaterial, rel_tol: float = REL_TOL, check=None):
-    """Yield (shift, error estimate, first failure message or None) at each z
-    of ``z_grid``, in units of the first transition's energy scale.
+                  material: PasteurMaterial, rel_tol: float = REL_TOL):
+    """[(non-retarded shift, shift, error estimate, first failure or None)] over
+    ``z_grid``, in units of the first transition's energy scale.
 
-    Each z in turn is checked (z > 0, a^2 > 0 at each transition, then
-    ``check(z)`` if given) before the first quadrature, so a bad z costs none.
+    Each z in turn is checked (z > 0, a^2 > 0 at each transition, then its
+    non-retarded value) before the first quadrature, so a bad z costs none.
+    A point whose sum is not finite raises ``ValueError`` naming z.
 
     Transition i adds (ImR_i/ImR_1) (E_i/E_1) I(a)/z^2 at a = z E_i/E_1.
     Its weight (ImR_i/ImR_1) (E_i/E_1)^3 is never formed: that underflows
@@ -402,8 +403,8 @@ def _shift_scaled(z_grid: Sequence[float], molecule: MoleculeSpectrum,
     Only the acceptance suite's tolerance-halving check passes a ``rel_tol``.
     """
     weights = [(g, s) for g, s in _transition_weights(molecule) if s != 0.0]
-    z_grid = [float(z) for z in z_grid]
-    for z in z_grid:
+    checked = []
+    for z in map(float, z_grid):
         if not z > 0.0:
             raise ValueError(f"z must be positive, got {z}")
         # the first transition has a = z, so these checks also keep z^2 > 0
@@ -411,10 +412,10 @@ def _shift_scaled(z_grid: Sequence[float], molecule: MoleculeSpectrum,
             a = z * gap_ratio
             if a * a == 0.0:
                 raise ValueError(f"z = {z!r} is out of range: ({a!r})**2 underflows to 0")
-        if check is not None:
-            check(z)
+        checked.append((z, chiral_shift_nonretarded(z, molecule, material)))
     kernel = {}
-    for z in z_grid:
+    points = []
+    for z, nonretarded in checked:
         z_sq = z * z
         total = total_err = 0.0
         failure = None
@@ -429,7 +430,10 @@ def _shift_scaled(z_grid: Sequence[float], molecule: MoleculeSpectrum,
             coeff = strength_ratio * gap_ratio
             total += coeff * val / z_sq
             total_err += abs(coeff) * err / z_sq
-        yield total, total_err, failure
+        if not math.isfinite(total):  # a term overflows, or two cancel as inf - inf
+            raise ValueError(f"z = {z!r} is out of range: the shift overflows")
+        points.append((nonretarded, total, total_err, failure))
+    return points
 
 
 def chiral_shift_halfspace(z: float, molecule: MoleculeSpectrum,
@@ -453,10 +457,12 @@ def chiral_shift_halfspace(z: float, molecule: MoleculeSpectrum,
 
     Raises
     ------
+    ValueError
+        For a z that :func:`halfspace_sweep` rejects, or a shift that overflows.
     QuadratureError
         On non-convergence; carries the partial scaled value.
     """
-    [(val, err, failure)] = _shift_scaled([z], molecule, material)
+    [(_, val, err, failure)] = _shift_scaled([z], molecule, material)
     if failure is not None:
         raise QuadratureError(failure, val, err)
     return val
@@ -479,26 +485,26 @@ def chiral_shift_nonretarded(z: float, molecule: MoleculeSpectrum,
     strength_sum = math.fsum(t.im_rot_strength for t in molecule.transitions)
     coeff = (math.pi / 8.0) * reflection_limit(material) * strength_sum / t0.im_rot_strength
     try:
-        return coeff / z**3
+        value = coeff / z**3
     except ArithmeticError:  # z**3 overflows or underflows to 0
         raise ValueError(f"z = {z!r} is out of range: z**3 leaves the float range") from None
+    if not math.isfinite(value):  # z**3 is subnormal
+        raise ValueError(f"z = {z!r} is out of range: the non-retarded shift overflows")
+    return value
 
 
 def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
                     material: PasteurMaterial) -> list[HalfspaceResult]:
     """Evaluate the full and non-retarded shifts on a grid of distances.
 
-    Every z is checked, the range of its non-retarded z^3 included, before
-    the first quadrature.  Per-point quadrature failures are reported in the
+    Every z is checked as by :func:`chiral_shift_halfspace`, before the
+    first quadrature.  Per-point quadrature failures are reported in the
     ``warning`` field of the corresponding result instead of aborting the
     sweep.  The points share their inner integrals, and each result is
     bit-identical to its point alone.
     """
     z_grid = _sequence(z_grid, "z_grid")
     e_mev = energy_unit_mev(molecule)
-    nonretarded = []  # each z's, taken with that z's checks, before the first quadrature
-    points = list(_shift_scaled(z_grid, molecule, material, check=lambda z: nonretarded.append(
-        chiral_shift_nonretarded(z, molecule, material))))
     return [HalfspaceResult(
         z_over_zunit=float(z),
         shift_eunit=val,
@@ -508,4 +514,4 @@ def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
         error_eunit=err,
         error_mev=err * abs(e_mev),
         warning=warning,
-    ) for z, nr, (val, err, warning) in zip(z_grid, nonretarded, points)]
+    ) for z, (nr, val, err, warning) in zip(z_grid, _shift_scaled(z_grid, molecule, material))]

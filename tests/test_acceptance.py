@@ -64,7 +64,7 @@ def test_oracle_resolves_distances_far_below_its_old_first_x_panel(z):
     # x ~ z part of the integrand (it had been 91 % and 100 % off here)
     material = PasteurMaterial(1.0, 1.0, 0.4)
     value, estimate = acceptance.oracle_dense_halfspace_shift(z, material)
-    [(shift, _, failure)] = pasteur._shift_scaled([z], acceptance._TWO_LEVEL, material)
+    [(_, shift, _, failure)] = pasteur._shift_scaled([z], acceptance._TWO_LEVEL, material)
     assert failure is None
     assert abs(value - shift) <= 1e-9 * abs(shift)
     assert abs(value - shift) <= estimate

@@ -40,12 +40,18 @@ def test_mode_set_must_be_nonempty():
         CavityModeSet(())
 
 
+def test_mode_set_entries_must_be_modes():
+    # rejected where stored, not at the first shift as an AttributeError
+    with pytest.raises(ValueError, match="^modes entries must be CavityMode, got 0.5$"):
+        CavityModeSet([0.5])
+
+
 def test_ensemble_validation_and_mirror():
     with pytest.raises(ValueError):
         PolarizedEnsemble((0.2, 0.0, 0.0), (0.0, 1.0, 0.0), 0)
     ens = PolarizedEnsemble((0.2, 0.3, -0.1), (0.4, 1.0, 0.2), 5)
     mirrored = ens.mirror()
-    assert mirrored.d00 == (-0.2, 0.3, -0.1)
+    assert mirrored.d00 == (-0.2, -0.3, 0.1)
     assert mirrored.m00 == ens.m00
     assert mirrored.mirror() == ens
 

@@ -498,7 +498,7 @@ def test_smallest_distances_compute_or_name_the_non_finite_column(capsys):
                              capsys)
     assert code == 1
     assert out == ""
-    assert err == "error: non-finite result in 'shift_over_Eunit'\n"
+    assert err == "error: z = 1e-105 is out of range: the non-retarded shift overflows\n"
 
 
 @pytest.mark.parametrize("command", ["cavity", "debye"])

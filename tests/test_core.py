@@ -25,6 +25,12 @@ def test_molecule_needs_transitions():
         MoleculeSpectrum(())
 
 
+def test_molecule_entries_must_be_transitions():
+    # rejected where stored, not at the first shift as an AttributeError
+    with pytest.raises(ValueError, match="^transitions entries must be Transition, got 2.0$"):
+        MoleculeSpectrum([2.0, 3.0])
+
+
 def test_mirror_negates_strengths_and_is_involution():
     mol = MoleculeSpectrum.from_lists([2.0, 3.5], [0.1, -0.04])
     mirrored = mol.mirror()

@@ -99,12 +99,12 @@ def test_reflection_where_the_formula_overflows_is_the_limit():
     assert reflection_cross(np.float32(1.0), endpoint) == pytest.approx(exact, rel=1e-15)
     (r,) = reflection_cross(np.array([1.0], dtype=np.float32), endpoint)
     assert r == pytest.approx(exact, rel=1e-15)
-    # a kappa = 0 shift down to z = 1e-160 stays exactly +0.0, and an
-    # eps_r mu_r near underflow computes (a NaN node can crash QUADPACK)
-    for z in (1e-150, 1e-160):
-        [(val, err, failure)] = _shift_scaled([z], MOL, PasteurMaterial(1.0, 1.0, 0.0))
+    # a kappa = 0 shift down to the smallest z whose z**3 is not 0 stays exactly
+    # +0.0, and an eps_r mu_r near underflow computes (a NaN node can crash QUADPACK)
+    for z in (1e-100, 1.351817985853457e-108):
+        [(_, val, err, failure)] = _shift_scaled([z], MOL, PasteurMaterial(1.0, 1.0, 0.0))
         assert (val, err, failure) == (0.0, 0.0, None) and math.copysign(1.0, val) == 1.0
-    [(val, err, failure)] = _shift_scaled([1e-3], MOL, PasteurMaterial(1e-200, 1e-100, 1e-151))
+    [(_, val, err, failure)] = _shift_scaled([1e-3], MOL, PasteurMaterial(1e-200, 1e-100, 1e-151))
     assert math.isfinite(val) and math.isfinite(err) and failure is None
 
 
@@ -441,8 +441,8 @@ def test_shift_zero_kappa_is_exactly_zero():
 
 
 def test_shift_odd_in_kappa():
-    [(plus, err_p, fail_p)] = _shift_scaled([0.5], MOL, PasteurMaterial(1.0, 1.0, 0.2))
-    [(minus, err_m, fail_m)] = _shift_scaled([0.5], MOL, PasteurMaterial(1.0, 1.0, -0.2))
+    [(_, plus, err_p, fail_p)] = _shift_scaled([0.5], MOL, PasteurMaterial(1.0, 1.0, 0.2))
+    [(_, minus, err_m, fail_m)] = _shift_scaled([0.5], MOL, PasteurMaterial(1.0, 1.0, -0.2))
     assert fail_p is None and fail_m is None
     assert abs(plus + minus) <= 2.0 * (err_p + err_m)
 
@@ -599,7 +599,7 @@ def shared_kernel_runs():
         sweep = halfspace_sweep(SHARED_GRID, SHARED_MOL, SHARED_MAT)
         sweep_calls = list(calls)
         calls.clear()
-        points = [next(_shift_scaled([z], SHARED_MOL, SHARED_MAT)) for z in SHARED_GRID]
+        points = [_shift_scaled([z], SHARED_MOL, SHARED_MAT)[0][1:] for z in SHARED_GRID]
     return sweep, sweep_calls, points, calls
 
 
@@ -673,10 +673,38 @@ def test_sweep_checks_every_z_before_the_first_quadrature(grid, message, monkeyp
     assert calls
 
 
+@pytest.mark.parametrize("z", [-1.0, 1e-200, 1e-120, 1e-108, 1e-104, 1e103])
+def test_point_and_sweep_reject_the_same_z_before_any_node(z, monkeypatch):
+    # one check pass serves both entries: the same message, and no node spent
+    calls = []
+
+    def counted(c_prime, material):
+        calls.append(c_prime)
+        return reflection_cross(c_prime, material)
+
+    monkeypatch.setattr(pasteur, "reflection_cross", counted)
+    with pytest.raises(ValueError) as point:
+        chiral_shift_halfspace(z, MOL, VACUUMLIKE)
+    with pytest.raises(ValueError) as sweep:
+        halfspace_sweep([z], MOL, VACUUMLIKE)
+    assert str(point.value) == str(sweep.value) and repr(z) in str(point.value)
+    assert calls == []
+
+
+def test_strengths_summing_to_zero_give_no_nan():
+    # the non-retarded value is -0.0 while each transition's term overflows,
+    # so the sum would be inf - inf = NaN
+    mol = MoleculeSpectrum.from_lists([2.0, 3.0], [0.1, -0.1])
+    for shift in (chiral_shift_halfspace, lambda z, *args: halfspace_sweep([z], *args)):
+        with pytest.raises(ValueError) as err:
+            shift(1e-105, mol, VACUUMLIKE)
+        assert str(err.value) == "z = 1e-105 is out of range: the shift overflows"
+
+
 def test_halving_tolerance_stays_within_estimate():
     for z in (0.3, 1.0):
-        [(val, est, failure)] = _shift_scaled([z], MOL, VACUUMLIKE)
-        [(val2, _, failure2)] = _shift_scaled([z], MOL, VACUUMLIKE, rel_tol=pasteur.REL_TOL / 2.0)
+        [(_, val, est, failure)] = _shift_scaled([z], MOL, VACUUMLIKE)
+        [(_, val2, _, failure2)] = _shift_scaled([z], MOL, VACUUMLIKE, rel_tol=pasteur.REL_TOL / 2.0)
         assert failure is None and failure2 is None
         assert abs(val - val2) < est
 

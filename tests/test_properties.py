@@ -141,10 +141,19 @@ def test_thermal_debye_shift_is_the_sum_of_per_mode_ratios(mode_set, d00, m00, n
         for m in mode_set.modes)
     assert debye_shift_per_molecule(mode_set, ens, thermal=Thermal(0.0)) == \
         debye_shift_per_molecule(mode_set, ens)
-    # mirror() negates d_x alone, which flips the shift where d_y m_x = 0
-    planar = PolarizedEnsemble((d00[0], 0.0, d00[2]), m00, n)
-    assert debye_shift_per_molecule(mode_set, planar.mirror(), thermal=thermal) == \
-        -debye_shift_per_molecule(mode_set, planar, thermal=thermal)
+
+
+@FAST
+@given(mode_set=modes, d00=vectors, m00=vectors, n=st.integers(1, 10**9),
+       temperature=st.floats(1.0, 1e4))
+@example(mode_set=CavityModeSet.ladder(0.1, 0.1, 10, 0.2, -0.5), d00=(0.2, -0.1, 0.3),
+         m00=(0.4, 1.0, -0.2), n=5, temperature=300.0)
+def test_debye_shift_is_odd_under_mirror(mode_set, d00, m00, n, temperature):
+    # mirror() is the parity image (-d, m), which negates d_x m_y - d_y m_x
+    ens = PolarizedEnsemble(d00, m00, n)
+    for thermal in (Thermal(0.0), Thermal(temperature)):
+        assert debye_shift_per_molecule(mode_set, ens.mirror(), thermal=thermal) == \
+            -debye_shift_per_molecule(mode_set, ens, thermal=thermal)
 
 
 # Rotatory strengths, chirality factors and kappa_r kept clear of the
@@ -282,7 +291,7 @@ def test_reported_error_bounds_the_distance_from_the_oracle(z, mol, eps, mu, kap
         return
     # the shift_eunit and error_eunit of halfspace_sweep, which would also
     # need an energy unit, and rejects a subnormal rotatory strength for it
-    [(shift, error, _)] = _shift_scaled([z], mol, mat)
+    [(_, shift, error, _)] = _shift_scaled([z], mol, mat)
     value = estimate = 0.0
     for gap_ratio, strength_ratio in _transition_weights(mol):
         weight = strength_ratio * gap_ratio**3
