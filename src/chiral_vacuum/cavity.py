@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import MoleculeSpectrum, Thermal, Transition, _positive_count, _sequence, \
+from .core import MoleculeSpectrum, Thermal, Transition, _float, _positive_count, _sequence, \
     _store_floats, bose_occupation
 from .units import BOHR_RADIUS_NM, FINE_STRUCTURE, RYDBERG_EV
 
@@ -82,7 +82,8 @@ class CavityModeSet:
     @classmethod
     def ladder(cls, start_ev: float, step_ev: float, count: int, veff_nm3: float,
                chirality_factor: float) -> "CavityModeSet":
-        start, step, count = float(start_ev), float(step_ev), _positive_count(count, "count")
+        start, step = _float(start_ev, "start_ev"), _float(step_ev, "step_ev")
+        count = _positive_count(count, "count")
         return cls.uniform([start + k * step for k in range(count)], veff_nm3, chirality_factor)
 
 
@@ -100,12 +101,12 @@ class PolarizedEnsemble:
     n_molecules: int
 
     def __post_init__(self):
-        object.__setattr__(self, "d00", tuple(map(float, _sequence(self.d00, "d00"))))
-        object.__setattr__(self, "m00", tuple(map(float, _sequence(self.m00, "m00"))))
+        object.__setattr__(self, "d00", tuple(_float(v, "d00") for v in _sequence(self.d00, "d00")))
+        object.__setattr__(self, "m00", tuple(_float(v, "m00") for v in _sequence(self.m00, "m00")))
         if len(self.d00) != 3 or len(self.m00) != 3:
             raise ValueError("dipole moments must be 3-vectors")
         if not all(map(math.isfinite, (*self.d00, *self.m00))):
-            raise ValueError(f"dipole components must be finite, got {self.d00}, {self.m00}")
+            raise ValueError(f"d00 and m00 must be finite, got {self.d00}, {self.m00}")
         object.__setattr__(self, "n_molecules", _positive_count(self.n_molecules, "n_molecules"))
         if self.n_molecules > sys.float_info.max:  # the shifts multiply floats by n
             raise ValueError("n_molecules is too large to convert to a float")
@@ -173,7 +174,9 @@ def thermal_ratio_london(mode_omega_ev: float, gap_ev: float, thermal: Thermal) 
     OutOfRegimeError
         If Omega >= E_eg (resonant; treated only qualitatively).
     """
-    mode_omega_ev, gap_ev = float(mode_omega_ev), float(gap_ev)
+    mode_omega_ev, gap_ev = _float(mode_omega_ev, "mode_omega_ev"), _float(gap_ev, "gap_ev")
+    if math.isnan(gap_ev):
+        raise ValueError("gap_ev must be a number, got nan")
     if mode_omega_ev >= gap_ev:
         raise OutOfRegimeError(
             f"mode at {mode_omega_ev} eV is resonant with the gap {gap_ev} eV"

@@ -11,13 +11,22 @@ from .units import BOLTZMANN_EV
 __all__ = ["MoleculeSpectrum", "Thermal", "Transition", "bose_occupation"]
 
 
+def _float(value, name: str) -> float:
+    """``value`` as a Python float, so that a numpy scalar computes, fails and prints as the
+    float of its value; what ``float()`` refuses is a ``ValueError`` naming it."""
+    if type(value) is float:
+        return value
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {value!r:.80}") from None
+
+
 def _store_floats(obj, *names: str, positive: tuple[str, ...] = ()) -> None:
-    """Store each named field of the frozen dataclass ``obj`` as a Python
-    float, as every public entry takes its scalars, so that a numpy scalar
-    computes, fails and prints as the float of its value.  Every field must
-    be finite, and those in ``positive`` also > 0; a ``ValueError`` names it."""
+    """Store each named field of the frozen dataclass ``obj`` through :func:`_float`; each
+    must be finite, and those in ``positive`` also > 0, or a ``ValueError`` names it."""
     for name in names:
-        value = float(getattr(obj, name))
+        value = _float(getattr(obj, name), name)
         if not math.isfinite(value) or (name in positive and value <= 0.0):
             rule = "positive and finite" if name in positive else "finite"
             raise ValueError(f"{name} must be {rule}, got {value}")
@@ -120,7 +129,7 @@ class Thermal:
     @classmethod
     def from_kbt_ev(cls, kbt_ev: float) -> "Thermal":
         """Build from the thermal energy k_B*T given in eV."""
-        return cls(float(kbt_ev) / BOLTZMANN_EV)
+        return cls(_float(kbt_ev, "kbt_ev") / BOLTZMANN_EV)
 
     @property
     def kbt_ev(self) -> float:
@@ -143,7 +152,7 @@ def bose_occupation(omega_ev: float, thermal: Thermal) -> float:
     float
         Mean occupation number.
     """
-    omega_ev = float(omega_ev)
+    omega_ev = _float(omega_ev, "omega_ev")
     if not omega_ev > 0.0:
         raise ValueError(f"omega must be positive, got {omega_ev}")
     if thermal.temperature_k == 0.0:

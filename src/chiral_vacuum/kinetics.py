@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Thermal, _sequence, _store_floats
+from .core import Thermal, _float, _sequence, _store_floats
 from .units import ATOMIC_MASS_EV
 
 __all__ = [
@@ -83,12 +83,11 @@ def _selectivity(exponent_mev: float, thermal: Thermal) -> float:
     if thermal.temperature_k <= 0.0:
         raise ValueError("selectivity requires T > 0")
     p = math.tanh(exponent_mev / (thermal.kbt_ev * 1e3))
-    # keep |P| < 1 strictly for finite inputs
-    if p >= 1.0:
-        return _ONE_MINUS_ULP
-    if p <= -1.0:
-        return -_ONE_MINUS_ULP
-    return p
+    if -1.0 < p < 1.0:
+        return p
+    if math.isnan(p):  # only a NaN shift gives it
+        raise ValueError("delta_e_mev must be a number, got nan")
+    return math.copysign(_ONE_MINUS_ULP, p)  # keep |P| < 1 strictly, also for an infinite shift
 
 
 def selectivity(delta_e_mev: float, thermal: Thermal) -> float:
@@ -106,7 +105,7 @@ def selectivity(delta_e_mev: float, thermal: Thermal) -> float:
     float
         P in (-1, 1); overflow-safe, saturating to +-(1 - ulp).
     """
-    return _selectivity(float(delta_e_mev), thermal)
+    return _selectivity(_float(delta_e_mev, "delta_e_mev"), thermal)
 
 
 def tst_activation(profile: ReactionProfile) -> float:
@@ -142,7 +141,7 @@ def selectivity_tst(delta_e_mev: float, profile: ReactionProfile,
     to :func:`selectivity` when b = 0.
     """
     half_shift_mev = 0.5 * zero_point_frequency_shift(profile) * 1e3
-    return _selectivity(float(delta_e_mev) - half_shift_mev, thermal)
+    return _selectivity(_float(delta_e_mev, "delta_e_mev") - half_shift_mev, thermal)
 
 
 def selectivity_sweep(delta_e_grid_mev: Sequence[float],
@@ -158,5 +157,5 @@ def selectivity_sweep(delta_e_grid_mev: Sequence[float],
     delta_e_grid_mev = _sequence(delta_e_grid_mev, "delta_e_grid_mev")
     thermals = [Thermal(t_k) for t_k in _sequence(temperatures_k, "temperatures_k")]
     p = selectivity if profile is None else (lambda de, th: selectivity_tst(de, profile, th))
-    return [(de, th.temperature_k, p(de, th)) for de in map(float, delta_e_grid_mev)
-            for th in thermals]
+    return [(de, th.temperature_k, p(de, th))
+            for de in (_float(de, "delta_e_mev") for de in delta_e_grid_mev) for th in thermals]

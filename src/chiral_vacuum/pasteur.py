@@ -28,7 +28,7 @@ from math import exp as _exp, inf as _inf, sqrt as _sqrt
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import MoleculeSpectrum, _sequence, _store_floats
+from .core import MoleculeSpectrum, _float, _sequence, _store_floats
 from .units import E_CHARGE, HBAR, C_LIGHT, MU_0, BOHR_RADIUS, BOHR_MAGNETON, HBARC_EV_NM
 
 __all__ = [
@@ -176,7 +176,7 @@ def reflection_cross(c_prime, material: PasteurMaterial):
             import numpy as np
             if isinstance(c_prime, np.ndarray):
                 return _reflection_array(c_prime.astype(float, copy=False), material)
-        c_prime = float(c_prime)
+        c_prime = _float(c_prime, "c_prime")
     if not c_prime >= 1.0:
         raise ValueError(f"c_prime must be >= 1, got {c_prime}")
     # den, a sum of positive terms, overflows wherever an intermediate does;
@@ -365,15 +365,11 @@ def _transition_weights(molecule: MoleculeSpectrum):
         gap_ratio = t.gap_ev / t0.gap_ev
         if t0.im_rot_strength != 0.0:
             strength_ratio = t.im_rot_strength / t0.im_rot_strength
-            try:
-                weight = strength_ratio * gap_ratio**3
-            except OverflowError:
-                raise ValueError(f"gap ratio {t.gap_ev!r} / {t0.gap_ev!r} is out of range: "
-                                 "its cube overflows") from None
-            if not math.isfinite(weight):  # NaN when the strength ratio overflows, inf * 0
-                raise ValueError(f"rotatory strength {t.im_rot_strength!r} against "
-                                 f"{t0.im_rot_strength!r} is out of range: the transition "
-                                 "weight overflows")
+            weight = strength_ratio * (gap_ratio * gap_ratio * gap_ratio)
+            if not math.isfinite(weight):  # inf, or NaN as inf * 0
+                raise ValueError(f"gap ratio {t.gap_ev!r} / {t0.gap_ev!r} with rotatory strength "
+                                 f"{t.im_rot_strength!r} against {t0.im_rot_strength!r} is out "
+                                 "of range: the transition weight overflows")
         elif t.im_rot_strength == 0.0:
             strength_ratio = 0.0
         else:
@@ -404,7 +400,7 @@ def _shift_scaled(z_grid: Sequence[float], molecule: MoleculeSpectrum,
     """
     weights = [(g, s) for g, s in _transition_weights(molecule) if s != 0.0]
     checked = []
-    for z in map(float, z_grid):
+    for z in (_float(z, "z") for z in z_grid):
         if not z > 0.0:
             raise ValueError(f"z must be positive, got {z}")
         # the first transition has a = z, so these checks also keep z^2 > 0
@@ -475,7 +471,7 @@ def chiral_shift_nonretarded(z: float, molecule: MoleculeSpectrum,
     Equals (pi/8) r(inf) sum_i ImR_i0/ImR_10 / z^3 in the scaled units of
     :func:`chiral_shift_halfspace`; exact 1/z^3 scaling.
     """
-    z = float(z)
+    z = _float(z, "z")
     if not z > 0.0:
         raise ValueError(f"z must be positive, got {z}")
     _transition_weights(molecule)  # raises if the unit is undefined or a weight overflows
@@ -498,14 +494,15 @@ def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
     """Evaluate the full and non-retarded shifts on a grid of distances.
 
     Every z is checked as by :func:`chiral_shift_halfspace`, before the
-    first quadrature.  Per-point quadrature failures are reported in the
-    ``warning`` field of the corresponding result instead of aborting the
-    sweep.  The points share their inner integrals, and each result is
-    bit-identical to its point alone.
+    first quadrature; a point whose shift, non-retarded shift or error
+    overflows in meV raises ``ValueError`` naming z.  Per-point quadrature
+    failures are reported in the ``warning`` field of the corresponding
+    result instead of aborting the sweep.  The points share their inner
+    integrals, and each result is bit-identical to its point alone.
     """
     z_grid = _sequence(z_grid, "z_grid")
     e_mev = energy_unit_mev(molecule)
-    return [HalfspaceResult(
+    results = [HalfspaceResult(
         z_over_zunit=float(z),
         shift_eunit=val,
         shift_mev=val * e_mev,
@@ -515,3 +512,7 @@ def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
         error_mev=err * abs(e_mev),
         warning=warning,
     ) for z, (nr, val, err, warning) in zip(z_grid, _shift_scaled(z_grid, molecule, material))]
+    for r in results:
+        if not all(map(math.isfinite, (r.shift_mev, r.nonretarded_mev, r.error_mev))):
+            raise ValueError(f"z = {r.z_over_zunit!r} is out of range: a value in meV overflows")
+    return results

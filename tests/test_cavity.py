@@ -49,6 +49,8 @@ def test_mode_set_entries_must_be_modes():
 def test_ensemble_validation_and_mirror():
     with pytest.raises(ValueError):
         PolarizedEnsemble((0.2, 0.0, 0.0), (0.0, 1.0, 0.0), 0)
+    with pytest.raises(ValueError, match="3-vectors"):
+        PolarizedEnsemble((1.0, 0.0), (0.0, 1.0, 0.0), 1)
     ens = PolarizedEnsemble((0.2, 0.3, -0.1), (0.4, 1.0, 0.2), 5)
     mirrored = ens.mirror()
     assert mirrored.d00 == (-0.2, -0.3, 0.1)
@@ -210,6 +212,11 @@ def test_thermal_london_resonant_regime_rejected():
         thermal_ratio_london(2.0, 2.0, KBT_034)
     with pytest.raises(OutOfRegimeError):
         thermal_ratio_london(2.5, 2.0, Thermal(0.0))
+
+
+def test_thermal_london_rejects_a_nan_gap_naming_it():
+    with pytest.raises(ValueError, match="^gap_ev must be a number, got nan"):
+        thermal_ratio_london(0.1, math.nan, Thermal(300.0))
 
 
 def test_thermal_debye_values():

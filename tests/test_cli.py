@@ -473,6 +473,8 @@ def test_underflowing_material_product_exits_2(capsys):
     (["--molecule.gap_ev", "1e-300", "--sweep.z_list", "1"], "1e-300"),  # E_unit underflows
     (["--molecule.gap_ev", "1e150", "--sweep.z_list", "1"], "1e+150"),  # gap_j**3 overflows
     (["--molecule.gap_ev", "1e120", "--sweep.z_list", "1"], "1e+120"),  # E_unit overflows to inf
+    (["--molecule.gap_ev", "1e100", "--molecule.im_rot_strength", "1", "--sweep.z_list",
+      "1e-10"], "z = 1e-10 is out of range: a value in meV overflows"),  # shift x E_unit
     (["--sweep.z_min", "1e-300", "--sweep.z_max", "1", "--sweep.z_points", "2",
       "--sweep.z_scale", "log"], "z = 1e-300 "),  # a grid point, named as a Python float
     (["--molecule.gap_ev", "2,3", "--molecule.im_rot_strength", "0,0.1", "--sweep.z_list", "1"],

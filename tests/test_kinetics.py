@@ -56,6 +56,16 @@ def test_saturation_limits():
     assert abs(selectivity(1e6, T300)) < 1.0
 
 
+def test_a_nan_shift_is_rejected_naming_it_and_an_infinite_one_saturates():
+    profile = ReactionProfile(1.0, 0.1, 1.0)
+    for call in (lambda de: selectivity(de, T300), lambda de: selectivity_tst(de, profile, T300),
+                 lambda de: selectivity_sweep([de], [300.0])[0][2]):
+        with pytest.raises(ValueError, match="^delta_e_mev must be a number, got nan"):
+            call(math.nan)
+        assert call(math.inf) == math.nextafter(1.0, 0.0)
+        assert call(-math.inf) == -math.nextafter(1.0, 0.0)
+
+
 def test_selectivity_at_53_mev():
     # 53 meV at 300 K: tanh(53 / 25.852)
     assert selectivity(53.0, T300) == pytest.approx(0.967, abs=1e-3)

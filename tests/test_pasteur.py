@@ -514,10 +514,13 @@ def test_a_transition_whose_weight_underflows_keeps_its_near_field_share():
     assert shifts == pytest.approx([shifts[0]] * 3, rel=1e-12)
     assert shifts[0] - one == pytest.approx(chiral_shift_nonretarded(1.0, MOL, VACUUMLIKE),
                                             rel=1e-12)
-    # ImR_2/ImR_1 overflows while (E_2/E_1)^3 underflows: the weight is inf * 0
-    mol = MoleculeSpectrum.from_lists([2.0, 2e-110], [1e-200, 1e200])
-    with pytest.raises(ValueError, match="weight overflows"):
-        chiral_shift_halfspace(1.0, mol, VACUUMLIKE)
+    # ImR_2/ImR_1 overflows while (E_2/E_1)^3 underflows: the weight is inf * 0;
+    # or (E_2/E_1)^3 overflows: one check for both
+    for gaps, strengths in [([2.0, 2e-110], [1e-200, 1e200]), ([1.0, 1e110], [0.1, 0.1])]:
+        mol = MoleculeSpectrum.from_lists(gaps, strengths)
+        for shift in (chiral_shift_halfspace, chiral_shift_nonretarded):
+            with pytest.raises(ValueError, match="weight overflows"):
+                shift(1.0, mol, VACUUMLIKE)
     # a^2 subnormal: the outer integrand g(x) / (a^2 + x^2) overflows, below
     # a ~ 1e-155 at kappa = 0.4 and ~ 1e-160 at kappa = 1e-10
     for gap, kappa in [(2e-155, 0.4), (2e-161, 1e-10)]:
@@ -568,6 +571,12 @@ def test_kappa_ordering_at_fixed_distance():
     assert abs(strong) > abs(weak)
 
 
+def test_sweep_rejects_a_point_whose_value_in_mev_overflows():
+    # shift_eunit is finite (-8.18e28), but times the energy unit (8.13e290 meV) it is not
+    with pytest.raises(ValueError, match=r"^z = 1e-10 is out of range: a value in meV overflows"):
+        halfspace_sweep([1e-10], MoleculeSpectrum.two_level(1e100, 1.0), VACUUMLIKE)
+
+
 def test_sweep_unit_fields_self_consistent():
     res = halfspace_sweep([0.3, 0.9], MOL, VACUUMLIKE)
     e_mev = energy_unit_mev(MOL)
@@ -613,6 +622,25 @@ def test_sweep_integrates_each_kernel_node_once(shared_kernel_runs):
     assert len(sweep_calls) == len(set(sweep_calls))
     assert set(sweep_calls) == set(point_calls)
     assert len(sweep_calls) < len(point_calls)
+
+
+def test_an_inner_failure_alone_is_the_point_failure(monkeypatch):
+    # the outer quadrature converges, and one x of the inner one fails
+    g_kernel = pasteur._g_kernel
+    failed = []
+
+    def failing_once(x, material, rel_tol):
+        value, error, failure = g_kernel(x, material, rel_tol)
+        if not failed:
+            failed.append(x)
+            return value, error, "inner failure at one x"
+        return value, error, failure
+
+    monkeypatch.setattr(pasteur, "_g_kernel", failing_once)
+    [point] = halfspace_sweep([0.5], MOL, VACUUMLIKE)
+    assert point.warning == "inner quadrature: inner failure at one x"
+    monkeypatch.undo()
+    assert point.shift_eunit == chiral_shift_halfspace(0.5, MOL, VACUUMLIKE)
 
 
 def test_sweep_deterministic():

@@ -6,8 +6,9 @@ rejects a non-finite float, a numpy scalar gives the result of the float
 of the same value, a numpy integer count that of the int, any
 sequence of the same transitions or modes one object, any sequence of
 the same floats one result, and a string, a number or an empty sequence
-a ``ValueError`` naming the argument.  One checks that the half-space shift's
-reported error bounds its distance from the acceptance oracle.
+a ``ValueError`` naming the argument, as is any value ``float()`` refuses.
+One checks that the half-space shift's reported error bounds its
+distance from the acceptance oracle.
 ``max_examples`` keeps each test well under 1 s, and the error-bound
 property at about 1 s.
 """
@@ -242,7 +243,8 @@ _VALID_KWARGS = {
 
 @pytest.mark.parametrize("cls", list(_VALID_KWARGS), ids=lambda cls: cls.__name__)
 @FAST
-@given(data=st.data(), bad=st.sampled_from([math.inf, -math.inf, math.nan]))
+@given(data=st.data(), bad=st.sampled_from([math.inf, -math.inf, math.nan,
+                                            None, "abc", object(), 10**400]))
 def test_domain_constructors_reject_non_finite_floats(cls, data, bad):
     kwargs = data.draw(_VALID_KWARGS[cls])
     cls(**kwargs)
@@ -256,7 +258,7 @@ def test_domain_constructors_reject_non_finite_floats(cls, data, bad):
         value = list(kwargs[name])
         value[i] = bad
         value = tuple(value)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=name):
         cls(**{**kwargs, name: value})
 
 
@@ -304,37 +306,47 @@ def test_reported_error_bounds_the_distance_from_the_oracle(z, mol, eps, mu, kap
 _MOLECULE = MoleculeSpectrum.from_lists([2.0, 3.5], [0.1, -0.04])
 _MODES = CavityModeSet.ladder(0.1, 0.1, 10, veff_nm3=0.2, chirality_factor=-0.5)
 
-# Each public entry that takes floats: (number of floats, call).  A call
-# returns what it stores and what it computes from it.  The half-space
-# sweep runs at kappa = 0, where the quadrature is quick.  A mode energy
-# meets a fixed 300 K, where omega/kT of a drawn value is often moderate.
+# Each public entry that takes floats: (the name each float is rejected
+# under, a valid value of each, call).  A call returns what it stores and
+# what it computes from it.  The half-space sweep runs at kappa = 0, where
+# the quadrature is quick.  A mode energy meets a fixed 300 K, where
+# omega/kT of a drawn value is often moderate.
 _FLOAT_ENTRIES = {
-    "Transition": (2, lambda g, s: (Transition(g, s),
-                                    energy_unit_mev(MoleculeSpectrum.two_level(g, s)))),
-    "PasteurMaterial": (3, lambda e, m, k: (PasteurMaterial(e, m, k), chiral_shift_nonretarded(
-        1.0, _MOLECULE, PasteurMaterial(e, m, k)))),
-    "Thermal": (1, lambda t: (Thermal(t), Thermal(t).kbt_ev)),
-    "CavityMode": (3, lambda w, v, c: (CavityMode(w, v, c), london_shift(
-        CavityModeSet((CavityMode(w, v, c),)), _MOLECULE))),
-    "PolarizedEnsemble": (6, lambda *dm: (PolarizedEnsemble(dm[:3], dm[3:], 7),
-                                          debye_shift_per_molecule(
-                                              _MODES, PolarizedEnsemble(dm[:3], dm[3:], 7)))),
-    "ReactionProfile": (4, lambda *p: (ReactionProfile(*p),
-                                       zero_point_frequency_shift(ReactionProfile(*p)))),
-    "selectivity": (2, lambda de, t: selectivity(de, Thermal(t))),
-    "selectivity_tst": (2, lambda de, b: selectivity_tst(de, ReactionProfile(1.0, 0.1, b),
-                                                         Thermal(300.0))),
-    "chiral_shift_nonretarded": (1, lambda z: chiral_shift_nonretarded(
+    "Transition": ("gap_ev im_rot_strength", (2.0, 0.1), lambda g, s: (
+        Transition(g, s), energy_unit_mev(MoleculeSpectrum.two_level(g, s)))),
+    "PasteurMaterial": ("eps_r mu_r kappa", (2.0, 1.5, 0.6), lambda e, m, k: (
+        PasteurMaterial(e, m, k), chiral_shift_nonretarded(1.0, _MOLECULE,
+                                                           PasteurMaterial(e, m, k)))),
+    "Thermal": ("temperature_k", (300.0,), lambda t: (Thermal(t), Thermal(t).kbt_ev)),
+    "CavityMode": ("omega_ev veff_nm3 chirality_factor", (0.5, 0.2, -0.5), lambda w, v, c: (
+        CavityMode(w, v, c), london_shift(CavityModeSet((CavityMode(w, v, c),)), _MOLECULE))),
+    "PolarizedEnsemble": ("d00 d00 d00 m00 m00 m00", (0.2, 0.0, 0.0, 0.0, 1.0, 0.0),
+                          lambda *dm: (PolarizedEnsemble(dm[:3], dm[3:], 7),
+                                       debye_shift_per_molecule(
+                                           _MODES, PolarizedEnsemble(dm[:3], dm[3:], 7)))),
+    "ReactionProfile": ("barrier_ev omega_nu_ev curvature_b_ev3 mass_amu", (1.0, 0.1, 0.0, 12.0),
+                        lambda *p: (ReactionProfile(*p),
+                                    zero_point_frequency_shift(ReactionProfile(*p)))),
+    "selectivity": ("delta_e_mev temperature_k", (1.5, 300.0),
+                    lambda de, t: selectivity(de, Thermal(t))),
+    "selectivity_tst": ("delta_e_mev curvature_b_ev3", (1.5, 1.0), lambda de, b: selectivity_tst(
+        de, ReactionProfile(1.0, 0.1, b), Thermal(300.0))),
+    "chiral_shift_nonretarded": ("z", (1.0,), lambda z: chiral_shift_nonretarded(
         z, _MOLECULE, PasteurMaterial(2.0, 1.5, 0.6))),
-    "halfspace_sweep": (1, lambda z: halfspace_sweep([z], _MOLECULE, PasteurMaterial())),
-    "reflection_cross": (1, lambda c: reflection_cross(c, PasteurMaterial(2.0, 1.5, 0.6))),
-    "bose_occupation": (1, lambda w: bose_occupation(w, Thermal(300.0))),
-    "thermal_ratio_debye": (1, lambda w: thermal_ratio_debye(w, Thermal(300.0))),
-    "thermal_ratio_london": (3, lambda w, g, t: thermal_ratio_london(w, g, Thermal(t))),
-    "Thermal.from_kbt_ev": (1, Thermal.from_kbt_ev),
-    "CavityModeSet.ladder": (2, lambda w, dw: CavityModeSet.ladder(w, dw, 10, 0.2, -0.5)),
-    "selectivity_sweep": (3, lambda de, t, b: (selectivity_sweep([de], [t]), selectivity_sweep(
-        [de], [t], ReactionProfile(1.0, 0.1, b)))),
+    "halfspace_sweep": ("z", (1.0,), lambda z: halfspace_sweep([z], _MOLECULE,
+                                                               PasteurMaterial())),
+    "reflection_cross": ("c_prime", (2.0,), lambda c: reflection_cross(
+        c, PasteurMaterial(2.0, 1.5, 0.6))),
+    "bose_occupation": ("omega_ev", (0.1,), lambda w: bose_occupation(w, Thermal(300.0))),
+    "thermal_ratio_debye": ("omega_ev", (0.1,), lambda w: thermal_ratio_debye(w, Thermal(300.0))),
+    "thermal_ratio_london": ("mode_omega_ev gap_ev temperature_k", (0.1, 2.0, 300.0),
+                             lambda w, g, t: thermal_ratio_london(w, g, Thermal(t))),
+    "Thermal.from_kbt_ev": ("kbt_ev", (0.025,), Thermal.from_kbt_ev),
+    "CavityModeSet.ladder": ("start_ev step_ev", (0.1, 0.1),
+                             lambda w, dw: CavityModeSet.ladder(w, dw, 10, 0.2, -0.5)),
+    "selectivity_sweep": ("delta_e_mev temperature_k curvature_b_ev3", (1.5, 300.0, 1.0),
+                          lambda de, t, b: (selectivity_sweep([de], [t]), selectivity_sweep(
+                              [de], [t], ReactionProfile(1.0, 0.1, b)))),
 }
 
 
@@ -351,12 +363,27 @@ def _outcome(call, args):
 @PER_ENTRY
 @given(data=st.data(), np_type=st.sampled_from([np.float64, np.float32]))
 def test_numpy_scalar_gives_the_float_result(name, data, np_type):
-    n, call = _FLOAT_ENTRIES[name]
+    names, _, call = _FLOAT_ENTRIES[name]
+    n = len(names.split())
     # floats the numpy type holds exactly; some drawn near the valid range
     width = 32 if np_type is np.float32 else 64
     values = data.draw(st.lists(st.floats(width=width) | st.floats(-16.0, 16.0, width=width),
                                 min_size=n, max_size=n))
     assert _outcome(call, [np_type(v) for v in values]) == _outcome(call, values)
+
+
+@pytest.mark.parametrize("name", list(_FLOAT_ENTRIES))
+@pytest.mark.parametrize("bad", [None, "abc", object(), 10**400],
+                         ids=["None", "str", "object", "10**400"])
+def test_a_value_that_float_refuses_is_rejected_naming_the_argument(name, bad):
+    # a TypeError, a ValueError or an OverflowError of float() alike
+    names, valid, call = _FLOAT_ENTRIES[name]
+    call(*valid)
+    for i, arg in enumerate(names.split()):
+        args = list(valid)
+        args[i] = bad
+        with pytest.raises(ValueError, match=f"^{arg} must be a number, got "):
+            call(*args)
 
 
 # Each public entry that takes a count: (argument name, call).  A call
