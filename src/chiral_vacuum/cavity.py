@@ -115,6 +115,23 @@ class PolarizedEnsemble:
         return PolarizedEnsemble((-d for d in self.d00), self.m00, self.n_molecules)
 
 
+_LONDON = "modes and molecule are out of range: the London sum overflows"
+_DEBYE = "modes and ensemble are out of range: the Debye sum overflows"
+
+
+def _fsum(terms, overflow: str, factor=1) -> float:
+    """``math.fsum(terms) * factor`` if finite; an overflow, inf - inf or NaN on the way
+    is ``ValueError(overflow)``."""
+    terms = list(terms)  # a term's own ValueError is raised here, outside the try
+    try:
+        total = math.fsum(terms) * factor
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise ValueError(overflow)
+    return total
+
+
 def _london_single(mode: CavityMode, t: Transition) -> float:
     pref = (8.0 * math.pi / 3.0) * FINE_STRUCTURE * RYDBERG_EV \
         * (BOHR_RADIUS_NM**3 / mode.veff_nm3) * mode.chirality_factor
@@ -156,12 +173,12 @@ def debye_shift_per_molecule(modes: CavityModeSet, ensemble: PolarizedEnsemble, 
     """
     n = ensemble.n_molecules
     if thermal.temperature_k == 0.0:
-        return math.fsum(_debye_mode_base(m, ensemble) for m in modes.modes) * n
-    return math.fsum(_debye_mode_base(m, ensemble) * n * thermal_ratio_debye(m.omega_ev, thermal)
-                     for m in modes.modes)
+        return _fsum((_debye_mode_base(m, ensemble) for m in modes.modes), _DEBYE, n)
+    return _fsum((_debye_mode_base(m, ensemble) * n * thermal_ratio_debye(m.omega_ev, thermal)
+                  for m in modes.modes), _DEBYE)
 
 
-def thermal_ratio_london(mode_omega_ev: float, gap_ev: float, thermal: Thermal) -> float:
+def thermal_ratio_london(omega_ev: float, gap_ev: float, thermal: Thermal) -> float:
     """Finite-temperature ratio for a single-mode London shift.
 
         ratio = 1 - n_B(Omega/kT) * 2 Omega / (E_eg - Omega)
@@ -174,20 +191,18 @@ def thermal_ratio_london(mode_omega_ev: float, gap_ev: float, thermal: Thermal) 
     OutOfRegimeError
         If Omega >= E_eg (resonant; treated only qualitatively).
     """
-    mode_omega_ev, gap_ev = _float(mode_omega_ev, "mode_omega_ev"), _float(gap_ev, "gap_ev")
-    if math.isnan(gap_ev):
-        raise ValueError("gap_ev must be a number, got nan")
-    if mode_omega_ev >= gap_ev:
+    omega_ev, gap_ev = _float(omega_ev, "omega_ev"), _float(gap_ev, "gap_ev")
+    if omega_ev >= gap_ev:
         raise OutOfRegimeError(
-            f"mode at {mode_omega_ev} eV is resonant with the gap {gap_ev} eV"
+            f"mode at {omega_ev} eV is resonant with the gap {gap_ev} eV"
         )
-    n_b = bose_occupation(mode_omega_ev, thermal)
-    return 1.0 - n_b * 2.0 * mode_omega_ev / (gap_ev - mode_omega_ev)
+    n_b = bose_occupation(omega_ev, thermal)
+    return 1.0 - n_b * 2.0 * omega_ev / (gap_ev - omega_ev)
 
 
-def thermal_ratio_debye(mode_omega_ev: float, thermal: Thermal) -> float:
+def thermal_ratio_debye(omega_ev: float, thermal: Thermal) -> float:
     """Finite-temperature ratio 1 + 2 n_B for a single-mode Debye shift."""
-    return 1.0 + 2.0 * bose_occupation(mode_omega_ev, thermal)
+    return 1.0 + 2.0 * bose_occupation(omega_ev, thermal)
 
 
 @dataclass(frozen=True)
@@ -229,15 +244,13 @@ def cavity_shift_report(modes: CavityModeSet, molecule: MoleculeSpectrum, *,
     entries = []
     for mode in modes.modes:
         t0_terms = [(t, _london_single(mode, t)) for t in molecule.transitions]
-        london_t0 = math.fsum(term for _, term in t0_terms)
+        london_t0 = _fsum((term for _, term in t0_terms), _LONDON)
         resonant = any(mode.omega_ev >= t.gap_ev for t in molecule.transitions)
         if resonant:
             ratio, london = None, london_t0
         else:
-            london = math.fsum(
-                term * thermal_ratio_london(mode.omega_ev, t.gap_ev, thermal)
-                for t, term in t0_terms
-            )
+            london = _fsum((term * thermal_ratio_london(mode.omega_ev, t.gap_ev, thermal)
+                            for t, term in t0_terms), _LONDON)
             ratio = london / london_t0 if london_t0 != 0.0 else 1.0
         entries.append(ModeReport(
             omega_ev=mode.omega_ev,
@@ -251,6 +264,6 @@ def cavity_shift_report(modes: CavityModeSet, molecule: MoleculeSpectrum, *,
 
     return CavityShiftReport(
         per_mode=tuple(entries),
-        london_total_t0_ev=math.fsum(e.london_t0_ev for e in entries),
-        london_total_ev=math.fsum(e.london_ev for e in entries),
+        london_total_t0_ev=_fsum((e.london_t0_ev for e in entries), _LONDON),
+        london_total_ev=_fsum((e.london_ev for e in entries), _LONDON),
     )

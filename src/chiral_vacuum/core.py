@@ -11,15 +11,27 @@ from .units import BOLTZMANN_EV
 __all__ = ["MoleculeSpectrum", "Thermal", "Transition", "bose_occupation"]
 
 
+def _shown(value) -> str:
+    """A refused value as every rule's message prints it: its repr cut at 80 characters."""
+    try:
+        return f"{value!r:.80}"
+    except ValueError:  # an int too long for repr: its sign and bit length
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+        return f"<{type(value).__name__}>"  # an array of such an int
+
+
 def _float(value, name: str) -> float:
     """``value`` as a Python float, so that a numpy scalar computes, fails and prints as the
-    float of its value; what ``float()`` refuses is a ``ValueError`` naming it."""
-    if type(value) is float:
-        return value
+    float of its value; NaN, or what ``float()`` refuses, is a ``ValueError`` naming it."""
     try:
-        return float(value)
+        if type(value) is not float:
+            value = float(value)
+        if value == value:
+            return value
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a number, got {value!r:.80}") from None
+        pass
+    raise ValueError(f"{name} must be a number, got {_shown(value)}")
 
 
 def _store_floats(obj, *names: str, positive: tuple[str, ...] = ()) -> None:
@@ -43,10 +55,10 @@ def _sequence(value, name: str, kind: type = object) -> tuple:
         entries = ()
     entries = tuple(entries)
     if not entries:
-        raise ValueError(f"{name} must be a non-empty sequence, got {value!r:.80}")
+        raise ValueError(f"{name} must be a non-empty sequence, got {_shown(value)}")
     for entry in entries:
         if not isinstance(entry, kind):
-            raise ValueError(f"{name} entries must be {kind.__name__}, got {entry!r:.80}")
+            raise ValueError(f"{name} entries must be {kind.__name__}, got {_shown(entry)}")
     return entries
 
 
@@ -54,11 +66,11 @@ def _positive_count(value, name: str) -> int:
     """``value`` as a Python int, as every public entry takes a count: any integer
     type but bool; anything else or a count below 1 is a ``ValueError`` naming it."""
     try:
-        n = 0 if isinstance(value, bool) else operator.index(value)
+        n = value if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+        n = value
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {_shown(n)}")
     return n
 
 
@@ -154,7 +166,7 @@ def bose_occupation(omega_ev: float, thermal: Thermal) -> float:
     """
     omega_ev = _float(omega_ev, "omega_ev")
     if not omega_ev > 0.0:
-        raise ValueError(f"omega must be positive, got {omega_ev}")
+        raise ValueError(f"omega_ev must be positive, got {omega_ev}")
     if thermal.temperature_k == 0.0:
         return 0.0
     x = omega_ev / thermal.kbt_ev

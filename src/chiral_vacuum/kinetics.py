@@ -85,8 +85,6 @@ def _selectivity(exponent_mev: float, thermal: Thermal) -> float:
     p = math.tanh(exponent_mev / (thermal.kbt_ev * 1e3))
     if -1.0 < p < 1.0:
         return p
-    if math.isnan(p):  # only a NaN shift gives it
-        raise ValueError("delta_e_mev must be a number, got nan")
     return math.copysign(_ONE_MINUS_ULP, p)  # keep |P| < 1 strictly, also for an infinite shift
 
 

@@ -177,8 +177,8 @@ def reflection_cross(c_prime, material: PasteurMaterial):
             if isinstance(c_prime, np.ndarray):
                 return _reflection_array(c_prime.astype(float, copy=False), material)
         c_prime = _float(c_prime, "c_prime")
-    if not c_prime >= 1.0:
-        raise ValueError(f"c_prime must be >= 1, got {c_prime}")
+    if not c_prime >= 1.0:  # where _float refuses a NaN, as the rule does
+        raise ValueError(f"c_prime must be >= 1, got {_float(c_prime, 'c_prime')}")
     # den, a sum of positive terms, overflows wherever an intermediate does;
     # the numerator is formed only where it does not, as it would be NaN
     # (t / (c'_+ + c'_-) is inf / inf), and a finite one over den gives 0

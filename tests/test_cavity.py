@@ -219,6 +219,36 @@ def test_thermal_london_rejects_a_nan_gap_naming_it():
         thermal_ratio_london(0.1, math.nan, Thermal(300.0))
 
 
+# Inputs whose London or Debye terms, or their sums, leave the float range: an
+# infinite term, inf - inf, an intermediate overflow, a total over finite modes,
+# and a finite sum times n.
+_TINY_MODES = CavityModeSet.ladder(0.1, 0.1, 10, 1e-300, -0.5)
+_SMALL_MODES = CavityModeSet.ladder(0.1, 0.1, 10, 1e-12, -0.5)
+_OVERFLOWING_SUMS = {
+    "london inf": ("London", lambda th: cavity_shift_report(
+        _TINY_MODES, MoleculeSpectrum.two_level(2.0, 3e13), thermal=th)),
+    "london inf - inf": ("London", lambda th: cavity_shift_report(
+        _TINY_MODES, MoleculeSpectrum.from_lists([2.0, 3.0], [3e13, -3e13]), thermal=th)),
+    "london total": ("London", lambda th: cavity_shift_report(
+        CavityModeSet.ladder(0.1, 0.1, 10, 1e-305, -0.5), MoleculeSpectrum.two_level(2.0, 2e7),
+        thermal=th)),
+    "debye intermediate": ("Debye", lambda th: debye_shift_per_molecule(
+        _SMALL_MODES, PolarizedEnsemble((1e150, 0, 0), (0, 1e150, 0), 1), thermal=th)),
+    "debye times n": ("Debye", lambda th: debye_shift_per_molecule(
+        CavityModeSet.ladder(0.1, 0.1, 1, 1.0, -0.5),
+        PolarizedEnsemble((1e150, 0, 0), (0, 1e150, 0), 10**100), thermal=th)),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOWING_SUMS))
+@pytest.mark.parametrize("thermal", [Thermal(0.0), Thermal(300.0)], ids=["T=0", "T=300K"])
+def test_a_cavity_sum_that_overflows_is_refused(name, thermal):
+    kind, call = _OVERFLOWING_SUMS[name]
+    args = "modes and molecule" if kind == "London" else "modes and ensemble"
+    with pytest.raises(ValueError, match=f"^{args} are out of range: the {kind} sum overflows$"):
+        call(thermal)
+
+
 def test_thermal_debye_values():
     assert thermal_ratio_debye(0.1, Thermal(0.0)) == 1.0
     assert thermal_ratio_debye(0.1, KBT_034) == pytest.approx(1.11, abs=0.005)

@@ -351,15 +351,38 @@ def test_negative_activation_energy_warns_on_one_line(capsys):
 
 
 def test_non_finite_result_exits_1_without_output(tmp_path, capsys):
+    # a finite Debye sum whose value in meV overflows
     path = tmp_path / "out.json"
     code, out, err = run_cli(
-        ["debye", "--ensemble.d00", "1e200,0,0", "--ensemble.m00", "0,1e200,0",
-         "--sweep.n_list", "1", "--output.format", "json",
+        ["debye", "--ensemble.d00", "1e154,0,0", "--ensemble.m00", "0,1e154,0",
+         "--cavity.veff_nm3", "0.01", "--sweep.n_list", "1", "--output.format", "json",
          "--output.path", str(path)], capsys)
     assert code == 1
     assert "per_molecule_T0_meV" in err
     assert len(err.strip().splitlines()) == 1
     assert out == ""
+    assert not path.exists()
+
+
+def test_an_overflowing_debye_sum_exits_1_without_output(tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        ["debye", "--ensemble.d00", "1e150,0,0", "--ensemble.m00", "0,1e150,0",
+         "--cavity.veff_nm3", "1e-12", "--output.path", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: modes and ensemble are out of range: the Debye sum overflows\n"
+    assert not path.exists()
+
+
+def test_an_arithmetic_error_of_a_runner_exits_1_without_output(tmp_path, monkeypatch, capsys):
+    # no known input reaches this handler: it stays as the last guard
+    def overflowing(config):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(cli._RUNNERS, "debye", overflowing)
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(["debye", "--output.path", str(path)], capsys)
+    assert (code, out, err) == (1, "", "error: OverflowError: math range error\n")
     assert not path.exists()
 
 

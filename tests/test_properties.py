@@ -339,7 +339,7 @@ _FLOAT_ENTRIES = {
         c, PasteurMaterial(2.0, 1.5, 0.6))),
     "bose_occupation": ("omega_ev", (0.1,), lambda w: bose_occupation(w, Thermal(300.0))),
     "thermal_ratio_debye": ("omega_ev", (0.1,), lambda w: thermal_ratio_debye(w, Thermal(300.0))),
-    "thermal_ratio_london": ("mode_omega_ev gap_ev temperature_k", (0.1, 2.0, 300.0),
+    "thermal_ratio_london": ("omega_ev gap_ev temperature_k", (0.1, 2.0, 300.0),
                              lambda w, g, t: thermal_ratio_london(w, g, Thermal(t))),
     "Thermal.from_kbt_ev": ("kbt_ev", (0.025,), Thermal.from_kbt_ev),
     "CavityModeSet.ladder": ("start_ev step_ev", (0.1, 0.1),
@@ -373,10 +373,11 @@ def test_numpy_scalar_gives_the_float_result(name, data, np_type):
 
 
 @pytest.mark.parametrize("name", list(_FLOAT_ENTRIES))
-@pytest.mark.parametrize("bad", [None, "abc", object(), 10**400],
-                         ids=["None", "str", "object", "10**400"])
+@pytest.mark.parametrize("bad", [None, "abc", object(), 10**400, math.nan, 10**5000],
+                         ids=["None", "str", "object", "10**400", "nan", "10**5000"])
 def test_a_value_that_float_refuses_is_rejected_naming_the_argument(name, bad):
-    # a TypeError, a ValueError or an OverflowError of float() alike
+    # a TypeError, a ValueError or an OverflowError of float() alike, NaN, and
+    # an int too long for repr
     names, valid, call = _FLOAT_ENTRIES[name]
     call(*valid)
     for i, arg in enumerate(names.split()):
@@ -412,6 +413,17 @@ def test_a_bool_or_non_integer_count_is_rejected_naming_it(name, bad):
     arg, call = _COUNT_ENTRIES[name]
     with pytest.raises(ValueError, match=f"^{arg} must be a positive integer"):
         call(bad)
+
+
+@pytest.mark.parametrize("name", list(_COUNT_ENTRIES))
+@pytest.mark.parametrize("bad,shown", [(-10**5000, "a negative int of 16610 bits"),
+                                       ("x" * 200, repr("x" * 200)[:80])],
+                         ids=["-10**5000", "200 characters"])
+def test_a_refused_count_is_shown_in_at_most_80_characters(name, bad, shown):
+    arg, call = _COUNT_ENTRIES[name]
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value) == f"{arg} must be a positive integer, got {shown}"
 
 
 def _object_array(entries):
@@ -484,9 +496,11 @@ _SEQUENCE_ENTRIES = {
 
 @pytest.mark.parametrize("name", list(_SEQUENCE_ENTRIES))
 @pytest.mark.parametrize("bad", ["123", b"123", 5.0, np.float64(5.0), np.array(5.0), None,
-                                 [], (), (e for e in ())],
+                                 10**5000, np.array(10**5000, dtype=object), [], (),
+                                 (e for e in ())],
                          ids=["str", "bytes", "float", "np.float64", "0-d array", "None",
-                              "empty list", "empty tuple", "empty generator"])
+                              "10**5000", "0-d array of 10**5000", "empty list", "empty tuple",
+                              "empty generator"])
 def test_a_string_number_or_empty_sequence_is_rejected_naming_it(name, bad):
     arg, call = _SEQUENCE_ENTRIES[name]
     with pytest.raises(ValueError, match=f"^{arg} must be a non-empty sequence"):
