@@ -54,8 +54,12 @@ def _build_modes(config: RunConfig) -> CavityModeSet:
 def _z_grid(config: RunConfig) -> list:
     if config["sweep.z_list"] is not None:
         return config["sweep.z_list"]
-    space = np.geomspace if config["sweep.z_scale"] == "log" else np.linspace
-    return space(config["sweep.z_min"], config["sweep.z_max"], config["sweep.z_points"]).tolist()
+    lo, hi, n = config["sweep.z_min"], config["sweep.z_max"], config["sweep.z_points"]
+    if config["sweep.z_scale"] == "linear":
+        return np.linspace(lo, hi, n).tolist()
+    # math's exp and log, as numpy's loops round differently on different CPUs
+    ln_lo, step = math.log(lo), (math.log(hi) - math.log(lo)) / max(n - 1, 1)
+    return [lo, *(math.exp(ln_lo + k * step) for k in range(1, n - 1)), hi][:n]
 
 
 def _run_pasteur(config: RunConfig) -> tuple[tuple, int]:
@@ -121,11 +125,11 @@ def _run_cavity(config: RunConfig) -> tuple[tuple, int]:
 
 def _run_debye(config: RunConfig) -> tuple[tuple, int]:
     modes = _build_modes(config)
-    d00, m00 = config["ensemble.d00"], config["ensemble.m00"]
-    ensemble_base = PolarizedEnsemble(d00, m00, 1)
+    ensemble_base = _build(lambda d00, m00: PolarizedEnsemble(d00, m00, 1),
+                           config, "ensemble.d00", "ensemble.m00")
     thermal = _build(Thermal, config, "thermal.temperature_k")
-    ensembles = _build(lambda n_list: [PolarizedEnsemble(d00, m00, n) for n in n_list],
-                       config, "sweep.n_list")
+    ensembles = _build(lambda n_list: [PolarizedEnsemble(ensemble_base.d00, ensemble_base.m00, n)
+                                       for n in n_list], config, "sweep.n_list")
     rows = []
     for ens in ensembles:
         pm_t0 = debye_shift_per_molecule(modes, ens)

@@ -93,13 +93,6 @@ def _choice(*options: str) -> Callable[[str], str]:
     return parse
 
 
-def _parse_vec3(s: str) -> tuple[float, float, float]:
-    vals = _parse_list(s)
-    if len(vals) != 3:
-        raise ValueError(f"expected 3 components, got {len(vals)}")
-    return (vals[0], vals[1], vals[2])
-
-
 def _parse_grid(s: str) -> list[float]:
     """Either ``start:step:stop`` (inclusive) or an explicit comma list."""
     if ":" in s:
@@ -169,9 +162,9 @@ REGISTRY: dict[str, ParamSpec] = {
     "cavity.modes_detailed": ParamSpec(
         _parse_modes_detailed, "",
         'per-mode override, JSON list of {"omega_ev","veff_nm3","chirality_factor"}'),
-    "ensemble.d00": ParamSpec(_parse_vec3, "0.2,0,0",
+    "ensemble.d00": ParamSpec(_parse_list, "0.2,0,0",
                               "permanent electric dipole in e*a0"),
-    "ensemble.m00": ParamSpec(_parse_vec3, "0,1,0",
+    "ensemble.m00": ParamSpec(_parse_list, "0,1,0",
                               "permanent magnetic dipole in mu_B"),
     "ensemble.n_molecules": ParamSpec(_parse_int, "100", "ignored: debye takes N from sweep.n_list"),
     "thermal.temperature_k": ParamSpec(_parse_float, "300", "temperature in K"),

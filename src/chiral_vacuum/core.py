@@ -21,13 +21,13 @@ def _shown(value) -> str:
         return f"<{type(value).__name__}>"  # an array of such an int
 
 
-def _float(value, name: str) -> float:
-    """``value`` as a Python float, so that a numpy scalar computes, fails and prints as the
-    float of its value; NaN, or what ``float()`` refuses, is a ``ValueError`` naming it."""
+def _float(value, name: str, convert=float) -> float:
+    """``value`` as a Python float, or an ndarray by ``convert``, so that a numpy scalar computes,
+    fails and prints as its float; NaN, or what ``convert`` refuses, is a ValueError naming it."""
     try:
         if type(value) is not float:
-            value = float(value)
-        if value == value:
+            value = convert(value)
+        if type(value) is not float or value == value:
             return value
     except (TypeError, ValueError, OverflowError):
         pass

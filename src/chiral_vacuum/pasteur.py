@@ -149,16 +149,15 @@ def reflection_cross(c_prime, material: PasteurMaterial):
         r = -kappa_r 2 eta0 eta c' / ((eta0^2 + eta^2) c' + 2 eta0 eta c'_f),
         c'_f^2 = 1 + (c'^2 - 1) / (4 eps_r mu_r).
 
-    Accepts a scalar or ndarray c' >= 1; a c' below 1 or NaN raises
-    ``ValueError``.  Where the formula overflows (its denominator is
-    infinite), both bodies take :func:`_reflection_scaled`, a float exactly
-    odd in kappa, so neither QUADPACK nor an array sees the
-    NaN, or the 0 of a finite numerator over an infinite denominator.
+    Where the formula overflows (its denominator is infinite), both bodies take
+    :func:`_reflection_scaled`, exactly odd in kappa, so neither QUADPACK nor an
+    array sees the NaN, or the 0 of a finite numerator over an infinite denominator.
 
-    A Python float, which QUADPACK passes at every node, pays a single
-    type check; any other scalar is computed as ``float(c')``.  Only an
-    ndarray takes the ``np.sqrt`` body, :func:`_reflection_array`, at
-    float64.  A float or int never loads numpy.
+    A Python float, which QUADPACK passes at every node, pays one type
+    check; any other scalar, or an ndarray, takes the float rule, so NaN, a
+    complex dtype or a c' below 1 is a ``ValueError`` naming c_prime.  Only
+    an ndarray takes the ``np.sqrt`` body, :func:`_reflection_array`, at
+    float64; a float or int never loads numpy.
 
     Parameters
     ----------
@@ -175,7 +174,7 @@ def reflection_cross(c_prime, material: PasteurMaterial):
         if not isinstance(c_prime, int):
             import numpy as np
             if isinstance(c_prime, np.ndarray):
-                return _reflection_array(c_prime.astype(float, copy=False), material)
+                return _reflection_array(_float(c_prime, "c_prime", _float64), material)
         c_prime = _float(c_prime, "c_prime")
     if not c_prime >= 1.0:  # where _float refuses a NaN, as the rule does
         raise ValueError(f"c_prime must be >= 1, got {_float(c_prime, 'c_prime')}")
@@ -204,8 +203,8 @@ def _reflection_array(c_prime, material: PasteurMaterial):
     10-20 % (CPython 3.11)."""
     import numpy as np
     kr, endpoint, eps_mu, plus_sq, minus_sq, k_diff, two_eta, one_eta_sq = material._reflection
-    if not np.all(c_prime >= 1.0):
-        raise ValueError("c_prime must be >= 1")
+    if c_prime.min(initial=1.0) < 1.0:  # the float rule has refused a NaN
+        raise ValueError(f"c_prime must be >= 1, got {float(c_prime.min())}")
     with np.errstate(over="ignore", invalid="ignore"):
         t = (c_prime - 1.0) * (c_prime + 1.0) / eps_mu
         if endpoint:
@@ -223,6 +222,14 @@ def _reflection_array(c_prime, material: PasteurMaterial):
         r = np.array(r)  # a 0-d result is a scalar, and only an array takes items
         r[over] = [_reflection_scaled(c, material) for c in c_prime[over].tolist()]
     return r[()]
+
+
+def _float64(c_prime):
+    """An ndarray's ``float()`` for :func:`core._float`: float64, or NaN if an entry is."""
+    if c_prime.dtype.kind == "c":  # astype would take the real part
+        raise TypeError("complex")
+    c_prime = c_prime.astype(float, copy=False)
+    return c_prime if (c_prime == c_prime).all() else math.nan
 
 
 def _reflection_scaled(c_prime, material: PasteurMaterial) -> float:

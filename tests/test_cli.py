@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,9 +8,11 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import chiral_vacuum
-from chiral_vacuum import Thermal, acceptance, bose_occupation, cli, pasteur
+from chiral_vacuum import Thermal, acceptance, bose_occupation, cli, config, pasteur
 from chiral_vacuum.cli import main
 from chiral_vacuum.config import parse_config
 from chiral_vacuum.output import to_json
@@ -310,6 +314,7 @@ def test_temperature_whose_kbt_underflows_exits_2(argv, key, capsys):
     (["tst", "--profile.omega_nu_ev", "1e154", "--profile.curvature_b_ev3", "1e308",
       "--profile.mass_amu", "1e-9"], "profile.curvature_b_ev3"),  # omega**2 + b/M overflows
     (["debye", "--ensemble.d00", "0.2,0"], "ensemble.d00"),  # two components
+    (["debye", "--ensemble.m00", "0,1"], "ensemble.m00"),
     (["selectivity", "--sweep.delta_e_mev", "1:2"], "sweep.delta_e_mev"),
     (["selectivity", "--sweep.delta_e_mev", "0:0:1"], "sweep.delta_e_mev"),  # zero step
     (["cavity", "--cavity.modes_detailed", "[0.1]"], "cavity.modes_detailed"),  # not an object
@@ -568,3 +573,121 @@ def test_pasteur_with_zero_rotatory_strengths_writes_zeros(capsys):
     assert [row[0] for row in rows] == [0.5, 2.0]
     assert all(v == 0.0 for row in rows for v in row[1:])
     assert "# note: energy_unit_meV = 0.0" in header_lines(out)
+
+
+# ------------------------------------------------------- the exit contract
+
+# One edge-rich strategy per parse kind of config.REGISTRY: zeros of both
+# signs, subnormals, the smallest normal, both sides of 0.5, values near
+# overflow and past it, NaN, infinities, words, and ints of up to 4,000
+# digits.  A key whose parse kind is not listed is a _choice.
+_EDGE_FLOATS = ["0", "-0.0", "5e-324", "-5e-324", "1e-320", "2.2e-308", "1e-200", "1e-10",
+                "0.4999999999", "0.5", "0.5000000001", "1", "-1", "2", "2.5", "3", "-3", "12",
+                "300", "-100", "1e150", "1e154", "-1e154", "1e300", "1.7e308", "-1.7e308",
+                "1e309", "nan", "inf", "-inf", "abc", "1" + "0" * 400, "-" + "9" * 4000]
+_EDGE_INTS = ["0", "1", "2", "3", "-1", "10", "1000000", "1000001", "1" + "0" * 320,
+              "1.5", "abc", "9" * 4000]
+_floats = st.sampled_from(_EDGE_FLOATS)
+_ints = st.sampled_from(_EDGE_INTS)
+
+
+def _lists(items):
+    return st.lists(items, min_size=1, max_size=3).map(",".join) | st.sampled_from(["", ","])
+
+
+_float_lists = _lists(_floats)
+_modes_detailed = st.sampled_from(["", "[]", "null", "[0.1]", '[{"omega_ev": 0.1}]',
+                                   "[" * 5000 + "]" * 5000]) | st.lists(
+    st.tuples(_floats, _floats, _floats), min_size=1, max_size=2).map(lambda modes: "[" + ", ".join(
+        f'{{"omega_ev": {w}, "veff_nm3": {v}, "chirality_factor": {c}}}' for w, v, c in modes) + "]")
+_PARSE_KINDS = {
+    config._parse_float: _floats,
+    config._parse_positive_float: _floats,
+    config._parse_int: _ints,
+    config._parse_grid_points: _ints,
+    config._parse_list: _float_lists,
+    config._parse_optional_positive_list: _float_lists,
+    config._parse_grid: _float_lists | st.tuples(_floats, _floats, _floats).map(":".join),
+    config._parse_modes_detailed: _modes_detailed,
+    config.REGISTRY["sweep.n_list"].parse: _lists(_ints),
+}
+_WORDS = st.sampled_from(["linear", "log", "csv", "json", "xml", "LOG", ""])
+
+
+def _kind(key):
+    return _PARSE_KINDS.get(config.REGISTRY[key].parse, _WORDS)
+
+
+def _keys(command):
+    return [key for key in parse_config([command]).values if key != "output.path"]
+
+
+@st.composite
+def _argvs(draw, commands):
+    """A command and a drawn value for each of a drawn subset of its keys.  A pasteur
+    run computes 1-3 z: a list of 1-3, or a grid of 1-3 points."""
+    command = draw(st.sampled_from(commands))
+    keys = draw(st.lists(st.sampled_from(_keys(command)), unique=True, max_size=3))
+    values = {key: draw(_kind(key)) for key in keys}
+    if command == "pasteur":
+        values["sweep.z_list"] = draw(st.lists(_floats, min_size=1, max_size=3).map(",".join)
+                                      | st.just(""))
+        if not values["sweep.z_list"]:
+            values["sweep.z_points"] = draw(st.sampled_from(["1", "2", "3"]))
+    return [command] + [f"--{key}={value}" for key, value in values.items()]
+
+
+_README_MISSING = {("cavity", "london_thermal_ratio")}  # the only cell README lets be nan
+
+
+def _check_exit_contract(argv, path):
+    """``cli.main(argv)`` exits 0, 1 or 2.  On 1 or 2 it prints one line that is not a
+    ``warning:`` and writes nothing, and on 2 the line names a key; on 0 the output is
+    strict JSON, or CSV with ``nan`` only where README allows it.  A pasteur point
+    failure is the one exit 1 with rows: an ``error_flag`` column and ``warning:`` lines."""
+    path.unlink(missing_ok=True)  # from an earlier example
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--output.path", str(path)])
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if not line.startswith("warning:")]
+    assert code in (0, 1, 2) and out.getvalue() == "", (code, lines)
+    assert not any("Traceback" in line for line in lines), lines
+    if code == 1 and not errors:  # a pasteur point failure
+        assert argv[0] == "pasteur" and all(l.startswith("warning: z = ") for l in lines), lines
+        assert "error_flag" in path.read_text()
+        return
+    if code:
+        assert len(errors) == 1 and not path.exists(), lines
+        if code == 2:
+            assert errors[0].startswith("config error:"), errors
+            assert any(repr(key) in errors[0] for key in config.REGISTRY), errors
+        return
+    assert not errors, lines
+    text = path.read_text()
+    if "--output.format=json" in argv:
+        json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+        return
+    names = [line.split(":")[1].split()[0] for line in text.splitlines()
+             if line.startswith("# column ")]
+    for row in data_rows(text):
+        for name, cell in zip(names, row.split(",")):
+            assert cell not in ("inf", "-inf"), (name, row)
+            assert cell != "nan" or (argv[0], name) in _README_MISSING, (name, row)
+
+
+_EXIT_CONTRACT = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(_EXIT_CONTRACT, max_examples=150)
+@given(argv=_argvs(["cavity", "debye", "selectivity", "tst"]))
+def test_every_drawn_argv_keeps_the_exit_contract(argv, tmp_path):
+    # verify takes only output keys, and runs the whole suite, about 1 s
+    _check_exit_contract(argv, tmp_path / "out")
+
+
+@settings(_EXIT_CONTRACT, max_examples=10)
+@given(argv=_argvs(["pasteur"]))
+def test_every_drawn_pasteur_argv_keeps_the_exit_contract(argv, tmp_path):
+    # a computed point costs 0.1-1 s of quadrature, so few examples
+    _check_exit_contract(argv, tmp_path / "out")

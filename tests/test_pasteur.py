@@ -159,11 +159,20 @@ def test_reflection_endpoint_is_the_limit_of_nearby_kappa():
 
 
 def test_reflection_rejects_cprime_below_one():
-    # NaN too, which the overflow guard would otherwise turn into the c' -> inf limit
+    # NaN too, which the overflow guard would otherwise turn into the c' -> inf
+    # limit; an array goes through the scalar's float rule, so what float()
+    # refuses, a complex dtype or a NaN entry is refused by name as well
     for arg in (0.99, math.nan, np.float64("nan"), np.array([1.5, 0.5]),
-                np.array([1.5, math.nan])):
-        with pytest.raises(ValueError):
+                np.array([1.5, math.nan]), np.array(["abc"]),
+                np.array(10**5000, dtype=object), np.array([None], dtype=object),
+                np.array([np.nan]), np.array([1 + 2j]), np.array([0.5])):
+        with pytest.raises(ValueError, match="^c_prime must be"):
             reflection_cross(arg, VACUUMLIKE)
+    # an entry below 1 is named as the scalar is
+    for arg in (0.5, np.array([1.5, 0.5]), np.array(0.5, dtype=np.float32)):
+        with pytest.raises(ValueError) as info:
+            reflection_cross(arg, VACUUMLIKE)
+        assert str(info.value) == "c_prime must be >= 1, got 0.5"
 
 
 def test_reflection_dispatch_keeps_the_value_bits_and_type_of_each_argument_kind():
