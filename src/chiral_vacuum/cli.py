@@ -21,7 +21,7 @@ from .cavity import (
     cavity_shift_report,
     debye_shift_per_molecule,
 )
-from .config import ConfigError, RunConfig, parse_config, usage
+from .config import MAX_GRID_POINTS, ConfigError, RunConfig, parse_config, usage
 from .core import MoleculeSpectrum, Thermal
 from .kinetics import ReactionProfile, selectivity_sweep, tst_activation, \
     zero_point_frequency_shift
@@ -155,7 +155,11 @@ def _run_debye(config: RunConfig) -> tuple[tuple, int]:
 
 def _sweep(config: RunConfig, profile: Optional[ReactionProfile] = None) -> list:
     """``selectivity_sweep`` over the config's grids; a temperature that
-    ``Thermal`` or ``selectivity`` rejects names ``thermal.temperatures``."""
+    ``Thermal`` or ``selectivity`` rejects names ``thermal.temperatures``, and
+    a table of more than ``MAX_GRID_POINTS`` rows names both grids."""
+    if len(config["sweep.delta_e_mev"]) * len(config["thermal.temperatures"]) > MAX_GRID_POINTS:
+        raise ConfigError(f"table has more than {MAX_GRID_POINTS} rows",
+                          key=("sweep.delta_e_mev", "thermal.temperatures"))
     return _build(lambda temps: selectivity_sweep(config["sweep.delta_e_mev"], temps, profile),
                   config, "thermal.temperatures")
 

@@ -22,10 +22,12 @@ def _shown(value) -> str:
 
 
 def _float(value, name: str, convert=float) -> float:
-    """``value`` as a Python float, or an ndarray by ``convert``, so that a numpy scalar computes,
-    fails and prints as its float; NaN, or what ``convert`` refuses, is a ValueError naming it."""
+    """``value`` as a Python float, or an ndarray by ``convert``, so a numpy scalar computes, fails
+    and prints as its float; NaN, complex or what ``convert`` refuses is a ValueError naming it."""
     try:
         if type(value) is not float:
+            if getattr(getattr(value, "dtype", None), "kind", None) == "c":  # float() takes .real
+                raise TypeError("complex")
             value = convert(value)
         if type(value) is not float or value == value:
             return value

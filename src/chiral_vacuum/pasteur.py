@@ -155,7 +155,7 @@ def reflection_cross(c_prime, material: PasteurMaterial):
 
     A Python float, which QUADPACK passes at every node, pays one type
     check; any other scalar, or an ndarray, takes the float rule, so NaN, a
-    complex dtype or a c' below 1 is a ``ValueError`` naming c_prime.  Only
+    complex value or a c' below 1 is a ``ValueError`` naming c_prime.  Only
     an ndarray takes the ``np.sqrt`` body, :func:`_reflection_array`, at
     float64; a float or int never loads numpy.
 
@@ -225,9 +225,7 @@ def _reflection_array(c_prime, material: PasteurMaterial):
 
 
 def _float64(c_prime):
-    """An ndarray's ``float()`` for :func:`core._float`: float64, or NaN if an entry is."""
-    if c_prime.dtype.kind == "c":  # astype would take the real part
-        raise TypeError("complex")
+    """A real ndarray's ``float()`` for :func:`core._float`: float64, or NaN if an entry is."""
     c_prime = c_prime.astype(float, copy=False)
     return c_prime if (c_prime == c_prime).all() else math.nan
 

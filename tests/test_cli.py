@@ -480,6 +480,24 @@ def test_oversized_grid_exits_2_naming_the_key(argv, key, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["selectivity", "tst"])
+def test_a_table_of_more_than_max_grid_points_rows_exits_2_naming_both_grids(
+        command, tmp_path, monkeypatch, capsys):
+    # each grid is within its own cap; their product, the row count, has the same cap
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 8)
+    code, out, err = run_cli([command, "--sweep.delta_e_mev", "1:1:4",
+                              "--thermal.temperatures", "200,300"], capsys)
+    assert (code, err, len(data_rows(out))) == (0, "", 8)
+    monkeypatch.setattr(cli, "selectivity_sweep", pytest.fail)
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli([command, "--sweep.delta_e_mev", "1:1:3", "--thermal.temperatures",
+                              "200,300,400", "--output.path", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("config error: table has more than 8 rows "
+                   "(keys 'sweep.delta_e_mev', 'thermal.temperatures')\n")
+    assert not path.exists()
+
+
 def test_underflowing_material_product_exits_2(capsys):
     for eps_r, mu_r, key in [("1e-200", "1e-200", "eps_r * mu_r"),
                              ("1e-200", "1e200", "mu_r / eps_r"),  # overflows

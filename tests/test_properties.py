@@ -373,11 +373,14 @@ def test_numpy_scalar_gives_the_float_result(name, data, np_type):
 
 
 @pytest.mark.parametrize("name", list(_FLOAT_ENTRIES))
-@pytest.mark.parametrize("bad", [None, "abc", object(), 10**400, math.nan, 10**5000],
-                         ids=["None", "str", "object", "10**400", "nan", "10**5000"])
+@pytest.mark.parametrize("bad", [None, "abc", object(), 10**400, math.nan, 10**5000,
+                                 np.complex128(2 + 1j), np.complex64(2 + 1j), np.complex128(2)],
+                         ids=["None", "str", "object", "10**400", "nan", "10**5000",
+                              "complex128", "complex64", "complex128-real"])
 def test_a_value_that_float_refuses_is_rejected_naming_the_argument(name, bad):
-    # a TypeError, a ValueError or an OverflowError of float() alike, NaN, and
-    # an int too long for repr
+    # a TypeError, a ValueError or an OverflowError of float() alike, NaN, an
+    # int too long for repr, and a numpy complex scalar, whose float() would
+    # take its real part, even where its imaginary part is 0
     names, valid, call = _FLOAT_ENTRIES[name]
     call(*valid)
     for i, arg in enumerate(names.split()):
