@@ -38,6 +38,13 @@ def _build(make, config: RunConfig, *keys: str):
         raise ConfigError(str(exc), key=keys) from exc
 
 
+def _bound(config: RunConfig, message: str, *keys: str) -> None:
+    """A ``ConfigError`` naming ``keys`` when the product of their list
+    lengths, the work of one run, exceeds ``MAX_GRID_POINTS``."""
+    if math.prod(len(config[key]) for key in keys) > MAX_GRID_POINTS:
+        raise ConfigError(message.format(MAX_GRID_POINTS), key=keys)
+
+
 def _build_molecule(config: RunConfig) -> MoleculeSpectrum:
     return _build(MoleculeSpectrum.from_lists, config,
                   "molecule.gap_ev", "molecule.im_rot_strength")
@@ -94,7 +101,12 @@ def _run_pasteur(config: RunConfig) -> tuple[tuple, int]:
     return (columns, rows, notes), (1 if any_failed else 0)
 
 
+def _mode_key(config: RunConfig) -> str:
+    return "cavity.modes" if config["cavity.modes_detailed"] is None else "cavity.modes_detailed"
+
+
 def _run_cavity(config: RunConfig) -> tuple[tuple, int]:
+    _bound(config, "mode sum has more than {} terms", _mode_key(config), "molecule.gap_ev")
     molecule = _build_molecule(config)
     modes = _build_modes(config)
     thermal = _build(Thermal, config, "thermal.temperature_k")
@@ -124,6 +136,7 @@ def _run_cavity(config: RunConfig) -> tuple[tuple, int]:
 
 
 def _run_debye(config: RunConfig) -> tuple[tuple, int]:
+    _bound(config, "mode sums have more than {} terms", _mode_key(config), "sweep.n_list")
     modes = _build_modes(config)
     ensemble_base = _build(lambda d00, m00: PolarizedEnsemble(d00, m00, 1),
                            config, "ensemble.d00", "ensemble.m00")
@@ -157,9 +170,7 @@ def _sweep(config: RunConfig, profile: Optional[ReactionProfile] = None) -> list
     """``selectivity_sweep`` over the config's grids; a temperature that
     ``Thermal`` or ``selectivity`` rejects names ``thermal.temperatures``, and
     a table of more than ``MAX_GRID_POINTS`` rows names both grids."""
-    if len(config["sweep.delta_e_mev"]) * len(config["thermal.temperatures"]) > MAX_GRID_POINTS:
-        raise ConfigError(f"table has more than {MAX_GRID_POINTS} rows",
-                          key=("sweep.delta_e_mev", "thermal.temperatures"))
+    _bound(config, "table has more than {} rows", "sweep.delta_e_mev", "thermal.temperatures")
     return _build(lambda temps: selectivity_sweep(config["sweep.delta_e_mev"], temps, profile),
                   config, "thermal.temperatures")
 
@@ -178,23 +189,16 @@ def _run_tst(config: RunConfig) -> tuple[tuple, int]:
     profile = _build(ReactionProfile, config, "profile.barrier_ev", "profile.omega_nu_ev",
                      "profile.curvature_b_ev3", "profile.mass_amu")
     corrected = _sweep(config, profile)
-    plain = _sweep(config)
+    (columns, rows, _), _ = _run_selectivity(config)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         e_a = tst_activation(profile)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     d_omega = zero_point_frequency_shift(profile)
-    rows = [(de, t_k, p, e_a, d_omega, p_tst)
-            for (de, t_k, p), (_, _, p_tst) in zip(plain, corrected)]
-    columns = (
-        Column("delta_e_meV", "meV"),
-        Column("temperature_K", "K"),
-        Column("p_chi", "dimensionless"),
-        Column("e_a_eV", "eV"),
-        Column("delta_omega_eV", "eV"),
-        Column("p_chi_tst", "dimensionless"),
-    )
+    rows = [(*row, e_a, d_omega, p_tst) for row, (_, _, p_tst) in zip(rows, corrected)]
+    columns = (*columns, Column("e_a_eV", "eV"), Column("delta_omega_eV", "eV"),
+               Column("p_chi_tst", "dimensionless"))
     return (columns, rows, []), 0
 
 
@@ -241,7 +245,7 @@ def _non_finite_field(out: SweepOutput) -> Optional[str]:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if not argv or argv[0] in ("-h", "--help"):
+    if not argv or "-h" in argv or "--help" in argv:
         print(usage())
         return 0 if argv else 2
 

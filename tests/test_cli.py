@@ -205,12 +205,25 @@ def test_tst_adds_activation_columns(capsys):
                     "e_a_eV", "delta_omega_eV", "p_chi_tst"]
     row = data_rows(out)[0].split(",")
     assert float(row[3]) == pytest.approx(1.0 - 0.05, rel=1e-12)  # barrier - w/2
+    # on any grid and curvature, the first three columns are the selectivity table
+    grids = ["--sweep.delta_e_mev", "-20:10:20", "--thermal.temperatures", "150,300"]
+    code, plain, _ = run_cli(["selectivity", *grids], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["tst", *grids, "--profile.curvature_b_ev3", "1e7"], capsys)
+    assert code == 0
+    columns = [l for l in header_lines(out) if l.startswith("# column")]
+    assert columns[:3] == [l for l in header_lines(plain) if l.startswith("# column")]
+    rows = [r.split(",") for r in data_rows(out)]
+    assert [r[:3] for r in rows] == [r.split(",") for r in data_rows(plain)]
+    assert len(rows) == 10 and all(r[5] != r[2] for r in rows)
 
 
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(["--help"], capsys)
     assert code == 0
     assert "pasteur" in out and "verify" in out
+    assert run_cli(["cavity", "--help"], capsys) == (0, out, "")
+    assert run_cli(["debye", "--sweep.n_list", "1", "-h"], capsys) == (0, out, "")
 
 
 def test_no_arguments_exits_2(capsys):
@@ -480,21 +493,52 @@ def test_oversized_grid_exits_2_naming_the_key(argv, key, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("command", ["selectivity", "tst"])
+def _detailed(n):
+    return json.dumps([{"omega_ev": 0.1 * k, "veff_nm3": 0.2, "chirality_factor": 0.5}
+                       for k in range(1, n + 1)])
+
+
+_TABLE = "table has more than 8 rows (keys 'sweep.delta_e_mev', 'thermal.temperatures')"
+_LONDON = "mode sum has more than 8 terms (keys '{}', 'molecule.gap_ev')"
+
+
+@pytest.mark.parametrize("at_cap,past_cap,rows,library,message", [
+    pytest.param(["selectivity", "--sweep.delta_e_mev", "1:1:4", "--thermal.temperatures", "200,300"],
+                 ["selectivity", "--sweep.delta_e_mev", "1:1:3",
+                  "--thermal.temperatures", "200,300,400"],
+                 8, "selectivity_sweep", _TABLE, id="selectivity"),
+    pytest.param(["tst", "--sweep.delta_e_mev", "1:1:4", "--thermal.temperatures", "200,300"],
+                 ["tst", "--sweep.delta_e_mev", "1:1:3", "--thermal.temperatures", "200,300,400"],
+                 8, "selectivity_sweep", _TABLE, id="tst"),
+    pytest.param(["cavity", "--cavity.modes", "0.1:0.1:0.4",
+                  "--molecule.gap_ev", "2,3", "--molecule.im_rot_strength", "0.1,0.1"],
+                 ["cavity", "--cavity.modes", "0.1:0.1:0.3",
+                  "--molecule.gap_ev", "2,3,4", "--molecule.im_rot_strength", "0.1,0.1,0.1"],
+                 4, "cavity_shift_report", _LONDON.format("cavity.modes"), id="cavity"),
+    pytest.param(["cavity", "--cavity.modes_detailed", _detailed(4),
+                  "--molecule.gap_ev", "2,3", "--molecule.im_rot_strength", "0.1,0.1"],
+                 ["cavity", "--cavity.modes_detailed", _detailed(3),
+                  "--molecule.gap_ev", "2,3,4", "--molecule.im_rot_strength", "0.1,0.1,0.1"],
+                 4, "cavity_shift_report", _LONDON.format("cavity.modes_detailed"),
+                 id="cavity-detailed"),
+    pytest.param(["debye", "--cavity.modes", "0.1,0.2", "--sweep.n_list", "1,2,3,4"],
+                 ["debye", "--cavity.modes", "0.1,0.2,0.3", "--sweep.n_list", "1,2,3"],
+                 4, "debye_shift_per_molecule",
+                 "mode sums have more than 8 terms (keys 'cavity.modes', 'sweep.n_list')",
+                 id="debye"),
+])
 def test_a_table_of_more_than_max_grid_points_rows_exits_2_naming_both_grids(
-        command, tmp_path, monkeypatch, capsys):
-    # each grid is within its own cap; their product, the row count, has the same cap
+        at_cap, past_cap, rows, library, message, tmp_path, monkeypatch, capsys):
+    # each grid is within its own cap; their product, the rows or the terms of
+    # the mode sums, has the same cap
     monkeypatch.setattr(cli, "MAX_GRID_POINTS", 8)
-    code, out, err = run_cli([command, "--sweep.delta_e_mev", "1:1:4",
-                              "--thermal.temperatures", "200,300"], capsys)
-    assert (code, err, len(data_rows(out))) == (0, "", 8)
-    monkeypatch.setattr(cli, "selectivity_sweep", pytest.fail)
+    code, out, err = run_cli(at_cap, capsys)
+    assert (code, err, len(data_rows(out))) == (0, "", rows)
+    monkeypatch.setattr(cli, library, pytest.fail)
     path = tmp_path / "out.csv"
-    code, out, err = run_cli([command, "--sweep.delta_e_mev", "1:1:3", "--thermal.temperatures",
-                              "200,300,400", "--output.path", str(path)], capsys)
+    code, out, err = run_cli([*past_cap, "--output.path", str(path)], capsys)
     assert (code, out) == (2, "")
-    assert err == ("config error: table has more than 8 rows "
-                   "(keys 'sweep.delta_e_mev', 'thermal.temperatures')\n")
+    assert err == f"config error: {message}\n"
     assert not path.exists()
 
 
