@@ -21,7 +21,7 @@ from .cavity import (
     cavity_shift_report,
     debye_shift_per_molecule,
 )
-from .config import MAX_GRID_POINTS, ConfigError, RunConfig, parse_config, usage
+from .config import ConfigError, RunConfig, parse_config, usage
 from .core import MoleculeSpectrum, Thermal
 from .kinetics import ReactionProfile, selectivity_sweep, tst_activation, \
     zero_point_frequency_shift
@@ -36,13 +36,6 @@ def _build(make, config: RunConfig, *keys: str):
         return make(*(config[key] for key in keys))
     except ValueError as exc:
         raise ConfigError(str(exc), key=keys) from exc
-
-
-def _bound(config: RunConfig, message: str, *keys: str) -> None:
-    """A ``ConfigError`` naming ``keys`` when the product of their list
-    lengths, the work of one run, exceeds ``MAX_GRID_POINTS``."""
-    if math.prod(len(config[key]) for key in keys) > MAX_GRID_POINTS:
-        raise ConfigError(message.format(MAX_GRID_POINTS), key=keys)
 
 
 def _build_molecule(config: RunConfig) -> MoleculeSpectrum:
@@ -101,12 +94,7 @@ def _run_pasteur(config: RunConfig) -> tuple[tuple, int]:
     return (columns, rows, notes), (1 if any_failed else 0)
 
 
-def _mode_key(config: RunConfig) -> str:
-    return "cavity.modes" if config["cavity.modes_detailed"] is None else "cavity.modes_detailed"
-
-
 def _run_cavity(config: RunConfig) -> tuple[tuple, int]:
-    _bound(config, "mode sum has more than {} terms", _mode_key(config), "molecule.gap_ev")
     molecule = _build_molecule(config)
     modes = _build_modes(config)
     thermal = _build(Thermal, config, "thermal.temperature_k")
@@ -136,7 +124,6 @@ def _run_cavity(config: RunConfig) -> tuple[tuple, int]:
 
 
 def _run_debye(config: RunConfig) -> tuple[tuple, int]:
-    _bound(config, "mode sums have more than {} terms", _mode_key(config), "sweep.n_list")
     modes = _build_modes(config)
     ensemble_base = _build(lambda d00, m00: PolarizedEnsemble(d00, m00, 1),
                            config, "ensemble.d00", "ensemble.m00")
@@ -168,9 +155,7 @@ def _run_debye(config: RunConfig) -> tuple[tuple, int]:
 
 def _sweep(config: RunConfig, profile: Optional[ReactionProfile] = None) -> list:
     """``selectivity_sweep`` over the config's grids; a temperature that
-    ``Thermal`` or ``selectivity`` rejects names ``thermal.temperatures``, and
-    a table of more than ``MAX_GRID_POINTS`` rows names both grids."""
-    _bound(config, "table has more than {} rows", "sweep.delta_e_mev", "thermal.temperatures")
+    ``Thermal`` or ``selectivity`` rejects names ``thermal.temperatures``."""
     return _build(lambda temps: selectivity_sweep(config["sweep.delta_e_mev"], temps, profile),
                   config, "thermal.temperatures")
 

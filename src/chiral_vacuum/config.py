@@ -190,21 +190,26 @@ REGISTRY: dict[str, ParamSpec] = {
     "output.format": ParamSpec(_choice("csv", "json"), "csv", "output format: csv or json"),
 }
 
-# Each command's help line and key groups.  A group is a REGISTRY key or a
-# prefix of keys; a command takes the keys of its groups in this order,
-# each group in REGISTRY order, then the "output." keys.
-COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+# Each command's help line, key groups, work keys and work refusal.  A group
+# is a REGISTRY key or a prefix of keys; a command takes the keys of its
+# groups in this order, each group in REGISTRY order, then the "output." keys.
+# The product of the work keys' list lengths, the work of one run, is refused
+# above MAX_GRID_POINTS; cavity.modes_detailed stands for cavity.modes when set.
+_TABLE = ("sweep.delta_e_mev", "thermal.temperatures"), "table has more than {} rows"
+COMMANDS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...], str]] = {
     "pasteur": ("distance sweep of the half-space chiral shift",
-                ("material.", "molecule.", "sweep.z_")),
+                ("material.", "molecule.", "sweep.z_"), (), ""),
     "cavity": ("per-mode and total London shifts with thermal ratios",
-               ("cavity.", "molecule.", "thermal.temperature_k")),
+               ("cavity.", "molecule.", "thermal.temperature_k"),
+               ("cavity.modes", "molecule.gap_ev"), "mode sum has more than {} terms"),
     "debye": ("collective Debye shift of a polarized ensemble",
-              ("cavity.", "ensemble.", "thermal.temperature_k", "sweep.n_list")),
+              ("cavity.", "ensemble.", "thermal.temperature_k", "sweep.n_list"),
+              ("cavity.modes", "sweep.n_list"), "mode sums have more than {} terms"),
     "selectivity": ("chirality-selective rate over shift and temperature grids",
-                    ("sweep.delta_e_mev", "thermal.temperatures")),
+                    ("sweep.delta_e_mev", "thermal.temperatures"), *_TABLE),
     "tst": ("selectivity with the transition-state zero-point correction",
-            ("sweep.delta_e_mev", "thermal.temperatures", "profile.")),
-    "verify": ("run the built-in acceptance suite", ()),
+            ("sweep.delta_e_mev", "thermal.temperatures", "profile."), *_TABLE),
+    "verify": ("run the built-in acceptance suite", (), (), ""),
 }
 
 
@@ -262,9 +267,10 @@ def _split_flags(tokens: list[str]) -> dict[str, tuple[str, None]]:
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve command, config file and flags into a validated RunConfig.
 
-    Precedence: built-in defaults < config file < flags.  Unknown keys
-    and unparseable or out-of-range values are rejected with the
-    offending key named (and the line number for file entries).
+    Precedence: built-in defaults < config file < flags.  Unknown keys,
+    unparseable or out-of-range values and a run whose work exceeds
+    ``MAX_GRID_POINTS`` are rejected with the offending keys named (and
+    the line number for file entries).
     """
     if not argv:
         raise ConfigError(f"missing command; expected one of {', '.join(COMMANDS)}")
@@ -275,7 +281,8 @@ def parse_config(argv: list[str]) -> RunConfig:
     flags = _split_flags(argv[1:])
     config_path, _ = flags.pop("config", (None, None))
 
-    allowed = [key for group in COMMANDS[command][1] + ("output.",)
+    _, groups, work, refusal = COMMANDS[command]
+    allowed = [key for group in groups + ("output.",)
                for key in REGISTRY if key.startswith(group)]
     resolved: dict[str, tuple[str, Optional[int]]] = {
         key: (REGISTRY[key].default, None) for key in allowed
@@ -306,6 +313,10 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise ConfigError(f"cannot parse value {shown}: {exc}", key=key, line=line)
         raw[key] = value_str
 
+    if values.get("cavity.modes_detailed") is not None:
+        work = tuple("cavity.modes_detailed" if k == "cavity.modes" else k for k in work)
+    if math.prod(len(values[key]) for key in work) > MAX_GRID_POINTS:
+        raise ConfigError(refusal.format(MAX_GRID_POINTS), key=work)
     return RunConfig(command=command, values=values, raw=raw)
 
 
@@ -314,7 +325,9 @@ def usage() -> str:
         "usage: chiral-vacuum COMMAND [--config FILE] [--dotted.key value ...]",
         "",
         "commands:",
-        *(f"  {command:<12} {help_line}" for command, (help_line, _) in COMMANDS.items()),
+        *(f"  {command:<12} {help_line}" + (f"\n{'':15}refused if its "
+          f"{refusal.format(MAX_GRID_POINTS)} ({' x '.join(work)})" if work else "")
+          for command, (help_line, _, work, refusal) in COMMANDS.items()),
         "",
         "keys (defaults in parentheses):",
     ]

@@ -515,9 +515,10 @@ _LONDON = "mode sum has more than 8 terms (keys '{}', 'molecule.gap_ev')"
                  ["cavity", "--cavity.modes", "0.1:0.1:0.3",
                   "--molecule.gap_ev", "2,3,4", "--molecule.im_rot_strength", "0.1,0.1,0.1"],
                  4, "cavity_shift_report", _LONDON.format("cavity.modes"), id="cavity"),
-    pytest.param(["cavity", "--cavity.modes_detailed", _detailed(4),
+    # one cavity.modes value, as the default 10-mode range is past the cap of 8
+    pytest.param(["cavity", "--cavity.modes", "0.1", "--cavity.modes_detailed", _detailed(4),
                   "--molecule.gap_ev", "2,3", "--molecule.im_rot_strength", "0.1,0.1"],
-                 ["cavity", "--cavity.modes_detailed", _detailed(3),
+                 ["cavity", "--cavity.modes", "0.1", "--cavity.modes_detailed", _detailed(3),
                   "--molecule.gap_ev", "2,3,4", "--molecule.im_rot_strength", "0.1,0.1,0.1"],
                  4, "cavity_shift_report", _LONDON.format("cavity.modes_detailed"),
                  id="cavity-detailed"),
@@ -531,7 +532,7 @@ def test_a_table_of_more_than_max_grid_points_rows_exits_2_naming_both_grids(
         at_cap, past_cap, rows, library, message, tmp_path, monkeypatch, capsys):
     # each grid is within its own cap; their product, the rows or the terms of
     # the mode sums, has the same cap
-    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 8)
+    monkeypatch.setattr(config, "MAX_GRID_POINTS", 8)
     code, out, err = run_cli(at_cap, capsys)
     assert (code, err, len(data_rows(out))) == (0, "", rows)
     monkeypatch.setattr(cli, library, pytest.fail)

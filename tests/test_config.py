@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from chiral_vacuum import cli, config
@@ -133,36 +135,96 @@ def test_incomplete_value_names_the_key(argv, key):
 SMALL_CAP = 50  # the largest default grid, sweep.z_points = 50, fits under it
 
 
-@pytest.mark.parametrize("command,key,item", [  # every key parsed as a comma list
-    ("pasteur", "molecule.gap_ev", "2"),
-    ("pasteur", "molecule.im_rot_strength", "0.1"),
-    ("pasteur", "sweep.z_list", "1"),
-    ("cavity", "cavity.modes", "0.1"),
-    ("debye", "sweep.n_list", "10"),
-    ("selectivity", "sweep.delta_e_mev", "0"),
-    ("selectivity", "thermal.temperatures", "300"),
+@pytest.mark.parametrize("command,key,item,other", [  # every key parsed as a comma list
+    ("pasteur", "molecule.gap_ev", "2", []),
+    ("pasteur", "molecule.im_rot_strength", "0.1", []),
+    ("pasteur", "sweep.z_list", "1", []),
+    ("cavity", "cavity.modes", "0.1", []),
+    # one mode, temperature or shift keeps the run's work within the cap too
+    ("debye", "sweep.n_list", "10", ["--cavity.modes", "0.1"]),
+    ("selectivity", "sweep.delta_e_mev", "0", ["--thermal.temperatures", "300"]),
+    ("selectivity", "thermal.temperatures", "300", ["--sweep.delta_e_mev", "0"]),
 ])
 def test_a_list_longer_than_max_grid_points_exits_2_naming_its_key(
-        command, key, item, monkeypatch, capsys):
+        command, key, item, other, monkeypatch, capsys):
     monkeypatch.setattr(config, "MAX_GRID_POINTS", SMALL_CAP)
-    at_cap = parse_config([command, f"--{key}", ",".join([item] * SMALL_CAP)])
+    at_cap = parse_config([command, *other, f"--{key}", ",".join([item] * SMALL_CAP)])
     assert len(at_cap[key]) == SMALL_CAP
-    assert cli.main([command, f"--{key}", ",".join([item] * (SMALL_CAP + 1))]) == 2
+    assert cli.main([command, *other, f"--{key}", ",".join([item] * (SMALL_CAP + 1))]) == 2
     err = capsys.readouterr().err
     assert f"list has more than {SMALL_CAP} values" in err and repr(key) in err
 
 
-@pytest.mark.parametrize("key,command", [
-    ("cavity.modes", "cavity"), ("sweep.delta_e_mev", "selectivity")])
-def test_a_range_and_a_list_of_one_key_share_the_size_cap(key, command, monkeypatch):
+@pytest.mark.parametrize("key,command,other", [
+    ("cavity.modes", "cavity", []),
+    ("sweep.delta_e_mev", "selectivity", ["--thermal.temperatures", "300"])])
+def test_a_range_and_a_list_of_one_key_share_the_size_cap(key, command, other, monkeypatch):
     monkeypatch.setattr(config, "MAX_GRID_POINTS", SMALL_CAP)
     values = [float(k) for k in range(1, SMALL_CAP + 1)]
     for at_cap, over_cap in [(f"1:1:{SMALL_CAP}", f"1:1:{SMALL_CAP + 1}"),
                              (",".join(map(str, values)), ",".join(map(str, values + [0.0])))]:
-        assert parse_config([command, f"--{key}", at_cap])[key] == values
+        assert parse_config([command, *other, f"--{key}", at_cap])[key] == values
         with pytest.raises(ConfigError, match=f"more than {SMALL_CAP}") as err:
-            parse_config([command, f"--{key}", over_cap])
+            parse_config([command, *other, f"--{key}", over_cap])
         assert err.value.key == key
+
+
+def _detailed(n):
+    return json.dumps([{"omega_ev": 0.1 * k, "veff_nm3": 0.2, "chirality_factor": 0.5}
+                       for k in range(1, n + 1)])
+
+
+_TABLE = "table has more than 8 rows (keys 'sweep.delta_e_mev', 'thermal.temperatures')"
+
+
+@pytest.mark.parametrize("at_cap,past_cap,message", [  # 8 = 4 x 2 work units, 9 = 3 x 3
+    (["selectivity", "--sweep.delta_e_mev", "1:1:4", "--thermal.temperatures", "200,300"],
+     ["selectivity", "--sweep.delta_e_mev", "1:1:3", "--thermal.temperatures", "1,2,3"], _TABLE),
+    (["tst", "--sweep.delta_e_mev", "1,2,3,4", "--thermal.temperatures", "200,300"],
+     ["tst", "--sweep.delta_e_mev", "1,2,3", "--thermal.temperatures", "1,2,3"], _TABLE),
+    (["cavity", "--cavity.modes", "0.1:0.1:0.4", "--molecule.gap_ev", "2,3"],
+     ["cavity", "--cavity.modes", "0.1:0.1:0.3", "--molecule.gap_ev", "2,3,4"],
+     "mode sum has more than 8 terms (keys 'cavity.modes', 'molecule.gap_ev')"),
+    (["cavity", "--cavity.modes", "0.1", "--cavity.modes_detailed", _detailed(4),
+      "--molecule.gap_ev", "2,3"],
+     ["cavity", "--cavity.modes", "0.1", "--cavity.modes_detailed", _detailed(3),
+      "--molecule.gap_ev", "2,3,4"],
+     "mode sum has more than 8 terms (keys 'cavity.modes_detailed', 'molecule.gap_ev')"),
+    (["debye", "--cavity.modes", "0.1,0.2", "--sweep.n_list", "1,2,3,4"],
+     ["debye", "--cavity.modes", "0.1,0.2,0.3", "--sweep.n_list", "1,2,3"],
+     "mode sums have more than 8 terms (keys 'cavity.modes', 'sweep.n_list')"),
+    (["debye", "--cavity.modes", "0.1", "--cavity.modes_detailed", _detailed(2),
+      "--sweep.n_list", "1,2,3,4"],
+     ["debye", "--cavity.modes", "0.1", "--cavity.modes_detailed", _detailed(3),
+      "--sweep.n_list", "1,2,3"],
+     "mode sums have more than 8 terms (keys 'cavity.modes_detailed', 'sweep.n_list')"),
+])
+def test_parse_config_refuses_a_run_whose_work_exceeds_the_cap(
+        at_cap, past_cap, message, monkeypatch):
+    # each list is within its own cap; their product, the run's work, has the same cap
+    monkeypatch.setattr(config, "MAX_GRID_POINTS", 8)
+    parse_config(at_cap)
+    with pytest.raises(ConfigError) as err:
+        parse_config(past_cap)
+    assert str(err.value) == message
+    assert err.value.key == tuple(message.split("'")[1::2])
+
+
+def test_tst_reports_an_over_cap_table_before_a_bad_profile(monkeypatch, capsys):
+    # the work refusal is a parse-time check; the profile is built by the runner
+    argv = ["tst", "--profile.mass_amu", "-1"]
+    assert cli.main(argv) == 2
+    assert "'profile.mass_amu'" in capsys.readouterr().err
+    monkeypatch.setattr(config, "MAX_GRID_POINTS", 8)
+    assert cli.main([*argv, "--sweep.delta_e_mev", "1:1:3"]) == 2
+    assert capsys.readouterr().err == f"config error: {_TABLE}\n"
+
+
+@pytest.mark.parametrize("command", list(config.COMMANDS))
+def test_each_commands_work_keys_are_among_its_keys(command):
+    _, _, work, refusal = config.COMMANDS[command]
+    assert set(work) <= set(parse_config([command]).values)
+    assert bool(work) == ("more than {}" in refusal)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -266,9 +328,13 @@ usage: chiral-vacuum COMMAND [--config FILE] [--dotted.key value ...]
 commands:
   pasteur      distance sweep of the half-space chiral shift
   cavity       per-mode and total London shifts with thermal ratios
+               refused if its mode sum has more than 1000000 terms (cavity.modes x molecule.gap_ev)
   debye        collective Debye shift of a polarized ensemble
+               refused if its mode sums have more than 1000000 terms (cavity.modes x sweep.n_list)
   selectivity  chirality-selective rate over shift and temperature grids
+               refused if its table has more than 1000000 rows (sweep.delta_e_mev x thermal.temperatures)
   tst          selectivity with the transition-state zero-point correction
+               refused if its table has more than 1000000 rows (sweep.delta_e_mev x thermal.temperatures)
   verify       run the built-in acceptance suite
 
 keys (defaults in parentheses):
