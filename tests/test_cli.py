@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -754,3 +755,97 @@ def test_every_drawn_argv_keeps_the_exit_contract(argv, tmp_path):
 def test_every_drawn_pasteur_argv_keeps_the_exit_contract(argv, tmp_path):
     # a computed point costs 0.1-1 s of quadrature, so few examples
     _check_exit_contract(argv, tmp_path / "out")
+
+
+# ----------------------------------------- every cell is its library value
+
+def _read_back(text, fmt):
+    """(rows, notes) of an output as the runner wrote them: each cell an int, a
+    float or None."""
+    if fmt == "json":
+        payload = json.loads(text)
+        return [tuple(row) for row in payload["rows"]], payload["notes"]
+    notes = [line[len("# note: "):].split(" = ", 1) for line in header_lines(text)
+             if line.startswith("# note: ")]
+    rows = [tuple(json.loads(f"[{row.replace('nan', 'null')}]")) for row in data_rows(text)]
+    return rows, {key: json.loads(value) for key, value in notes}
+
+
+def _library_modes(cfg):
+    if cfg["cavity.modes_detailed"] is not None:
+        return chiral_vacuum.CavityModeSet(chiral_vacuum.CavityMode(**entry)
+                                           for entry in cfg["cavity.modes_detailed"])
+    return chiral_vacuum.CavityModeSet.uniform(cfg["cavity.modes"], cfg["cavity.veff_nm3"],
+                                               cfg["cavity.chirality_factor"])
+
+
+def _library_output(cfg, rows):
+    """(rows, notes) of ``cfg``'s command rebuilt through the public API alone, in
+    the runner's order of operations; a pasteur sweep runs on the output's own z."""
+    cv = chiral_vacuum
+    if cfg.command in ("pasteur", "cavity"):
+        mol = cv.MoleculeSpectrum.from_lists(cfg["molecule.gap_ev"], cfg["molecule.im_rot_strength"])
+    if cfg.command in ("cavity", "debye"):
+        modes, thermal = _library_modes(cfg), Thermal(cfg["thermal.temperature_k"])
+    if cfg.command == "pasteur":
+        material = cv.PasteurMaterial(cfg["material.eps_r"], cfg["material.mu_r"],
+                                      cfg["material.kappa"])
+        results = cv.halfspace_sweep([row[0] for row in rows], mol, material)
+        return ([(r.z_over_zunit, r.shift_eunit, r.shift_mev, r.nonretarded_eunit, r.error_eunit)
+                 for r in results],
+                {"energy_unit_meV": cv.energy_unit_mev(mol), "length_unit_nm": cv.length_unit_nm(mol)})
+    if cfg.command == "cavity":
+        rep = cv.cavity_shift_report(modes, mol, thermal=thermal)
+        return ([(i, m.omega_ev, m.chirality_factor, m.veff_nm3, m.london_t0_ev * 1e3,
+                  m.london_thermal_ratio, m.london_ev * 1e3, 1 if m.resonant else 0)
+                 for i, m in enumerate(rep.per_mode, 1)],
+                {"temperature_K": thermal.temperature_k,
+                 "london_total_T0_meV": rep.london_total_t0_ev * 1e3,
+                 "london_total_meV": rep.london_total_ev * 1e3,
+                 "resonant_modes": rep.resonant_count})
+    if cfg.command == "debye":
+        def per_molecule(n):
+            ens = cv.PolarizedEnsemble(cfg["ensemble.d00"], cfg["ensemble.m00"], n)
+            return (cv.debye_shift_per_molecule(modes, ens),
+                    cv.debye_shift_per_molecule(modes, ens, thermal=thermal))
+        base_t0, base = per_molecule(1)
+        return ([(n, t0 * 1e3, pm * 1e3, t0 * n * 1e3, pm * n * 1e3)
+                 for n, (t0, pm) in ((n, per_molecule(n)) for n in cfg["sweep.n_list"])],
+                {"temperature_K": thermal.temperature_k,
+                 "thermal_enhancement": base / base_t0 if base_t0 != 0.0 else 1.0})
+    plain = cv.selectivity_sweep(cfg["sweep.delta_e_mev"], cfg["thermal.temperatures"])
+    if cfg.command == "selectivity":
+        return plain, {}
+    profile = cv.ReactionProfile(cfg["profile.barrier_ev"], cfg["profile.omega_nu_ev"],
+                                 cfg["profile.curvature_b_ev3"], cfg["profile.mass_amu"])
+    corrected = cv.selectivity_sweep(cfg["sweep.delta_e_mev"], cfg["thermal.temperatures"],
+                                     profile)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a negative activation energy
+        e_a = cv.tst_activation(profile)
+    d_omega = cv.zero_point_frequency_shift(profile)
+    return [(*row, e_a, d_omega, p_tst) for row, (_, _, p_tst) in zip(plain, corrected)], {}
+
+
+def _check_cells(argv, path):
+    """On exit 0, every cell and note of ``cli.main(argv)``'s output equals the
+    library value it reports."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--output.path", str(path)])
+    if code:
+        return
+    cfg = parse_config(argv)
+    rows, notes = _read_back(path.read_text(), cfg["output.format"])
+    assert (rows, notes) == _library_output(cfg, rows), argv
+
+
+@settings(_EXIT_CONTRACT, max_examples=150)
+@given(argv=_argvs(["cavity", "debye", "selectivity", "tst"]))
+def test_every_cell_of_a_drawn_argv_is_its_library_value(argv, tmp_path):
+    _check_cells(argv, tmp_path / "out")
+
+
+@settings(_EXIT_CONTRACT, max_examples=10)
+@given(argv=_argvs(["pasteur"]))
+def test_every_cell_of_a_drawn_pasteur_argv_is_its_library_value(argv, tmp_path):
+    _check_cells(argv, tmp_path / "out")
