@@ -31,10 +31,9 @@ from .core import MoleculeSpectrum, Thermal, Transition, _float, _positive_count
 from .units import BOHR_RADIUS_NM, FINE_STRUCTURE, RYDBERG_EV
 
 __all__ = [
-    "CavityMode", "CavityModeSet", "CavityShiftReport", "ModeReport",
-    "OutOfRegimeError", "PolarizedEnsemble", "cavity_shift_report",
-    "debye_shift_per_molecule", "london_shift", "thermal_ratio_debye",
-    "thermal_ratio_london",
+    "CavityMode", "CavityModeSet", "CavityShiftReport", "OutOfRegimeError",
+    "PolarizedEnsemble", "cavity_shift_report", "debye_shift_per_molecule",
+    "london_shift", "thermal_ratio_debye", "thermal_ratio_london",
 ]
 
 
@@ -206,29 +205,16 @@ def thermal_ratio_debye(omega_ev: float, thermal: Thermal) -> float:
 
 
 @dataclass(frozen=True)
-class ModeReport:
-    """Per-mode entry of a :class:`CavityShiftReport`; energies in eV."""
-
-    omega_ev: float
-    veff_nm3: float
-    chirality_factor: float
-    london_t0_ev: float
-    london_thermal_ratio: Optional[float]
-    london_ev: float
-    resonant: bool
-
-
-@dataclass(frozen=True)
 class CavityShiftReport:
-    """Per-mode and total London shifts with thermal corrections applied."""
+    """Per-mode London shifts as columns in the order of ``modes.modes``, and
+    their totals; energies in eV."""
 
-    per_mode: tuple[ModeReport, ...]
+    london_t0_ev: tuple[float, ...]
+    london_thermal_ratio: tuple[Optional[float], ...]
+    london_ev: tuple[float, ...]
+    resonant: tuple[bool, ...]
     london_total_t0_ev: float
     london_total_ev: float
-
-    @property
-    def resonant_count(self) -> int:
-        return sum(1 for m in self.per_mode if m.resonant)
 
 
 def cavity_shift_report(modes: CavityModeSet, molecule: MoleculeSpectrum, *,
@@ -238,10 +224,12 @@ def cavity_shift_report(modes: CavityModeSet, molecule: MoleculeSpectrum, *,
     Thermal corrections are applied per mode multiplicatively, per
     transition.  Modes resonant with any transition (Omega >= E_i0) are
     flagged and contribute their zero-temperature value uncorrected
-    rather than aborting the report.  At T = 0 every ratio is 1.0 and
+    rather than aborting the report; their ratio is None.  So is the
+    ratio of a mode whose T = 0 sum cancels to 0 while its thermal sum
+    does not.  At T = 0 every other ratio is 1.0 and
     ``london_total_ev == london_total_t0_ev``.
     """
-    entries = []
+    t0_col, ratio_col, london_col, resonant_col = [], [], [], []
     for mode in modes.modes:
         t0_terms = [(t, _london_single(mode, t)) for t in molecule.transitions]
         london_t0 = _fsum((term for _, term in t0_terms), _LONDON)
@@ -251,19 +239,11 @@ def cavity_shift_report(modes: CavityModeSet, molecule: MoleculeSpectrum, *,
         else:
             london = _fsum((term * thermal_ratio_london(mode.omega_ev, t.gap_ev, thermal)
                             for t, term in t0_terms), _LONDON)
-            ratio = london / london_t0 if london_t0 != 0.0 else 1.0
-        entries.append(ModeReport(
-            omega_ev=mode.omega_ev,
-            veff_nm3=mode.veff_nm3,
-            chirality_factor=mode.chirality_factor,
-            london_t0_ev=london_t0,
-            london_thermal_ratio=ratio,
-            london_ev=london,
-            resonant=resonant,
-        ))
-
-    return CavityShiftReport(
-        per_mode=tuple(entries),
-        london_total_t0_ev=_fsum((e.london_t0_ev for e in entries), _LONDON),
-        london_total_ev=_fsum((e.london_ev for e in entries), _LONDON),
-    )
+            ratio = london / london_t0 if london_t0 != 0.0 else 1.0 if london == 0.0 else None
+        t0_col.append(london_t0)
+        ratio_col.append(ratio)
+        london_col.append(london)
+        resonant_col.append(resonant)
+    return CavityShiftReport(tuple(t0_col), tuple(ratio_col), tuple(london_col),
+                             tuple(resonant_col), _fsum(t0_col, _LONDON),
+                             _fsum(london_col, _LONDON))

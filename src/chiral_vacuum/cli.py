@@ -110,15 +110,17 @@ def _run_cavity(config: RunConfig) -> tuple[tuple, int]:
         Column("resonant", "dimensionless"),
     )
     rows = [
-        (i, m.omega_ev, m.chirality_factor, m.veff_nm3, m.london_t0_ev * 1e3,
-         m.london_thermal_ratio, m.london_ev * 1e3, 1 if m.resonant else 0)
-        for i, m in enumerate(report.per_mode, 1)
+        (i, m.omega_ev, m.chirality_factor, m.veff_nm3, t0 * 1e3, ratio, london * 1e3,
+         1 if resonant else 0)
+        for i, (m, t0, ratio, london, resonant) in enumerate(zip(
+            modes.modes, report.london_t0_ev, report.london_thermal_ratio, report.london_ev,
+            report.resonant), 1)
     ]
     notes = [
         ("temperature_K", thermal.temperature_k),
         ("london_total_T0_meV", report.london_total_t0_ev * 1e3),
         ("london_total_meV", report.london_total_ev * 1e3),
-        ("resonant_modes", report.resonant_count),
+        ("resonant_modes", sum(report.resonant)),
     ]
     return (columns, rows, notes), 0
 

@@ -83,3 +83,61 @@ def test_closed_form_calls_load_neither_numpy_nor_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# README's byte contract: besides + - * /, the library calls only these numpy
+# functions, whose bits do not depend on the CPU's SIMD loops, and no `@`, whose
+# bits depend on the BLAS.  acceptance.py prints its oracle values to 3 digits.
+_NUMPY_CALLS = {"linspace", "sqrt", "errstate", "array"}
+
+
+def _dotted(node):
+    return f"{_dotted(node.value)}.{node.attr}" if isinstance(node, ast.Attribute) \
+        else getattr(node, "id", "")
+
+
+def _numpy_outside_the_set(source):
+    """(line, what) for each ``@`` and each numpy call or import outside _NUMPY_CALLS."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names if alias.name == "numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, f"numpy.{alias.name}") for alias in node.names
+                      if alias.name not in _NUMPY_CALLS]
+        elif isinstance(node, ast.Call):
+            root, _, name = _dotted(node.func).partition(".")
+            if root in aliases and name not in _NUMPY_CALLS:
+                found.append((node.lineno, f"{root}.{name}"))
+    return found
+
+
+def test_numpy_calls_stay_in_the_host_independent_set():
+    found = [f"{path.name}:{line}: {what}"
+             for path in sorted(pathlib.Path(chiral_vacuum.__file__).parent.glob("*.py"))
+             if path.name != "acceptance.py"
+             for line, what in _numpy_outside_the_set(path.read_text())]
+    assert not found, found
+
+
+def test_the_numpy_check_refuses_exp_and_matmul():
+    source = textwrap.dedent("""
+        import numpy as np
+        from numpy import sqrt, log
+
+        def f(x):
+            y = np.sqrt(x)
+            y @= x
+            return np.exp(y) @ np.linalg.norm(x)
+    """)
+    assert sorted(_numpy_outside_the_set(source)) == [
+        (3, "numpy.log"), (7, "@"), (8, "@"), (8, "np.exp"), (8, "np.linalg.norm")]
+
+
+def test_readme_quick_start_runs():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    exec(block.split("```", 1)[0], {})

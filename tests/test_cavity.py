@@ -273,16 +273,19 @@ def test_report_at_zero_temperature_equals_bare_sums():
     rep = cavity_shift_report(TEN_LEFT, MOL, thermal=Thermal(0.0))
     assert rep.london_total_ev == london_shift(TEN_LEFT, MOL)
     assert rep.london_total_t0_ev == rep.london_total_ev
-    assert all(m.london_thermal_ratio == 1.0 for m in rep.per_mode)
+    assert all(ratio == 1.0 for ratio in rep.london_thermal_ratio)
     # the general thermal path at n_B = 0: exact, sign of a zero included
     two = MoleculeSpectrum.from_lists([2.0, 3.5], [0.1, -0.04])
     linear = CavityModeSet.ladder(0.1, 0.1, 3, veff_nm3=0.2, chirality_factor=0.0)
     for modes, mol in [(TEN_LEFT, two), (linear, MOL)]:
         rep = cavity_shift_report(modes, mol, thermal=Thermal(0.0))
-        for m in rep.per_mode:
-            assert m.london_thermal_ratio == 1.0
-            assert m.london_ev == m.london_t0_ev
-            assert math.copysign(1.0, m.london_ev) == math.copysign(1.0, m.london_t0_ev)
+        columns = (rep.london_t0_ev, rep.london_thermal_ratio, rep.london_ev, rep.resonant)
+        assert [len(column) for column in columns] == [len(modes.modes)] * 4
+        for london_t0, ratio, london in zip(rep.london_t0_ev, rep.london_thermal_ratio,
+                                            rep.london_ev):
+            assert ratio == 1.0
+            assert london == london_t0
+            assert math.copysign(1.0, london) == math.copysign(1.0, london_t0)
 
 
 def test_report_london_total_thermal_bound():
@@ -295,13 +298,23 @@ def test_report_london_total_thermal_bound():
 def test_report_flags_resonant_modes_without_aborting():
     modes = CavityModeSet.uniform([0.5, 2.5], veff_nm3=0.2, chirality_factor=-0.5)
     rep = cavity_shift_report(modes, MOL, thermal=Thermal(300.0))
-    flags = [m.resonant for m in rep.per_mode]
+    flags = list(rep.resonant)
     assert flags == [False, True]
-    resonant = rep.per_mode[1]
-    assert resonant.london_thermal_ratio is None
-    assert resonant.london_ev == resonant.london_t0_ev  # uncorrected
-    assert rep.resonant_count == 1
+    assert rep.london_thermal_ratio[1] is None
+    assert rep.london_ev[1] == rep.london_t0_ev[1]  # uncorrected
+    assert sum(rep.resonant) == 1
     assert math.isfinite(rep.london_total_ev)
+
+
+def test_report_ratio_is_none_where_only_the_t0_sum_cancels():
+    # the two T = 0 terms cancel to 0, and their thermal ratios weigh them apart
+    mol = MoleculeSpectrum.from_lists([2.0, 3.0], [0.1, -0.13999999999999999])
+    modes = CavityModeSet.uniform([0.5], veff_nm3=0.2, chirality_factor=-0.5)
+    rep = cavity_shift_report(modes, mol, thermal=Thermal(3000.0))
+    assert rep.london_t0_ev == (0.0,) and rep.london_ev[0] != 0.0
+    assert rep.london_thermal_ratio == (None,)
+    # both sums 0 at T = 0: the ratio is 1.0
+    assert cavity_shift_report(modes, mol).london_thermal_ratio == (1.0,)
 
 
 def test_report_thermal_is_keyword_only():

@@ -447,6 +447,19 @@ def test_every_runner_writes_rows_of_int_float_or_none(argv, capsys):
     assert (None in cells) == (argv[-1] == "1.0,2.5")
 
 
+@pytest.mark.parametrize("fmt, row", [
+    ("csv", "1,0.5,-0.5,0.2,0.0,nan,0.00027771047985267704,0"),
+    ("json", [1, 0.5, -0.5, 0.2, 0.0, None, 0.00027771047985267704, 0]),
+])
+def test_cavity_ratio_is_missing_where_only_the_t0_sum_cancels(fmt, row, capsys):
+    # the two T = 0 terms cancel to 0 and the thermal sum does not: no ratio
+    code, out, _ = run_cli(["cavity", "--cavity.modes", "0.5", "--molecule.gap_ev", "2,3",
+                            "--molecule.im_rot_strength", "0.1,-0.13999999999999999",
+                            "--thermal.temperature_k", "3000", "--output.format", fmt], capsys)
+    assert code == 0
+    assert (data_rows(out) if fmt == "csv" else json.loads(out)["rows"]) == [row]
+
+
 def test_json_rejects_nan_cells_and_renders_none_as_null():
     out = cli.SweepOutput("cavity", [], (cli.Column("ratio", "dimensionless"),),
                           [(None,), (1.5,)])
@@ -701,7 +714,9 @@ def _argvs(draw, commands):
     return [command] + [f"--{key}={value}" for key, value in values.items()]
 
 
-_README_MISSING = {("cavity", "london_thermal_ratio")}  # the only cell README lets be nan
+# the only cell README lets be nan: the London thermal ratio of a resonant mode, or
+# of a mode whose T = 0 sum cancels to 0 while its thermal sum does not
+_README_MISSING = {("cavity", "london_thermal_ratio")}
 
 
 def _check_exit_contract(argv, path):
@@ -796,13 +811,15 @@ def _library_output(cfg, rows):
                 {"energy_unit_meV": cv.energy_unit_mev(mol), "length_unit_nm": cv.length_unit_nm(mol)})
     if cfg.command == "cavity":
         rep = cv.cavity_shift_report(modes, mol, thermal=thermal)
-        return ([(i, m.omega_ev, m.chirality_factor, m.veff_nm3, m.london_t0_ev * 1e3,
-                  m.london_thermal_ratio, m.london_ev * 1e3, 1 if m.resonant else 0)
-                 for i, m in enumerate(rep.per_mode, 1)],
+        columns = zip(modes.modes, rep.london_t0_ev, rep.london_thermal_ratio, rep.london_ev,
+                      rep.resonant)
+        return ([(i, m.omega_ev, m.chirality_factor, m.veff_nm3, t0 * 1e3, ratio, london * 1e3,
+                  1 if resonant else 0)
+                 for i, (m, t0, ratio, london, resonant) in enumerate(columns, 1)],
                 {"temperature_K": thermal.temperature_k,
                  "london_total_T0_meV": rep.london_total_t0_ev * 1e3,
                  "london_total_meV": rep.london_total_ev * 1e3,
-                 "resonant_modes": rep.resonant_count})
+                 "resonant_modes": sum(rep.resonant)})
     if cfg.command == "debye":
         def per_molecule(n):
             ens = cv.PolarizedEnsemble(cfg["ensemble.d00"], cfg["ensemble.m00"], n)
