@@ -239,7 +239,7 @@ def cavity_shift_report(modes: CavityModeSet, molecule: MoleculeSpectrum, *,
         else:
             london = _fsum((term * thermal_ratio_london(mode.omega_ev, t.gap_ev, thermal)
                             for t, term in t0_terms), _LONDON)
-            ratio = london / london_t0 if london_t0 != 0.0 else 1.0 if london == 0.0 else None
+            ratio = london / london_t0 if london_t0 != 0.0 else (1.0 if london == 0.0 else None)
         t0_col.append(london_t0)
         ratio_col.append(ratio)
         london_col.append(london)

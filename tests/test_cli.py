@@ -9,7 +9,7 @@ import textwrap
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import chiral_vacuum
@@ -801,7 +801,7 @@ def _library_output(cfg, rows):
     if cfg.command in ("pasteur", "cavity"):
         mol = cv.MoleculeSpectrum.from_lists(cfg["molecule.gap_ev"], cfg["molecule.im_rot_strength"])
     if cfg.command in ("cavity", "debye"):
-        modes, thermal = _library_modes(cfg), Thermal(cfg["thermal.temperature_k"])
+        modes, thermal = _library_modes(cfg), cv.Thermal(cfg["thermal.temperature_k"])
     if cfg.command == "pasteur":
         material = cv.PasteurMaterial(cfg["material.eps_r"], cfg["material.mu_r"],
                                       cfg["material.kappa"])
@@ -825,11 +825,13 @@ def _library_output(cfg, rows):
             ens = cv.PolarizedEnsemble(cfg["ensemble.d00"], cfg["ensemble.m00"], n)
             return (cv.debye_shift_per_molecule(modes, ens),
                     cv.debye_shift_per_molecule(modes, ens, thermal=thermal))
+        expected = []
+        for n in cfg["sweep.n_list"]:
+            t0, pm = per_molecule(n)
+            expected.append((n, t0 * 1e3, pm * 1e3, t0 * n * 1e3, pm * n * 1e3))
         base_t0, base = per_molecule(1)
-        return ([(n, t0 * 1e3, pm * 1e3, t0 * n * 1e3, pm * n * 1e3)
-                 for n, (t0, pm) in ((n, per_molecule(n)) for n in cfg["sweep.n_list"])],
-                {"temperature_K": thermal.temperature_k,
-                 "thermal_enhancement": base / base_t0 if base_t0 != 0.0 else 1.0})
+        return expected, {"temperature_K": thermal.temperature_k,
+                          "thermal_enhancement": base / base_t0 if base_t0 != 0.0 else 1.0}
     plain = cv.selectivity_sweep(cfg["sweep.delta_e_mev"], cfg["thermal.temperatures"])
     if cfg.command == "selectivity":
         return plain, {}
@@ -856,13 +858,18 @@ def _check_cells(argv, path):
     assert (rows, notes) == _library_output(cfg, rows), argv
 
 
+# Few drawn argvs that exit 0 set a nonzero curvature or kappa, whose columns
+# are 0 at the defaults, so one fixed example each is added to the draws.
 @settings(_EXIT_CONTRACT, max_examples=150)
 @given(argv=_argvs(["cavity", "debye", "selectivity", "tst"]))
+@example(argv=["tst", "--profile.curvature_b_ev3=9e5", "--thermal.temperatures=300"])
+@example(argv=["cavity", "--cavity.modes=1.0,2.5"])
 def test_every_cell_of_a_drawn_argv_is_its_library_value(argv, tmp_path):
     _check_cells(argv, tmp_path / "out")
 
 
 @settings(_EXIT_CONTRACT, max_examples=10)
 @given(argv=_argvs(["pasteur"]))
+@example(argv=["pasteur", "--material.kappa=0.4", "--sweep.z_list=0.5,2"])
 def test_every_cell_of_a_drawn_pasteur_argv_is_its_library_value(argv, tmp_path):
     _check_cells(argv, tmp_path / "out")
