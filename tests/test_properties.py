@@ -14,6 +14,8 @@ property at about 1 s.
 """
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -36,13 +38,16 @@ from chiral_vacuum import (
     debye_shift_per_molecule,
     energy_unit_mev,
     halfspace_sweep,
+    length_unit_nm,
     london_shift,
     reflection_cross,
+    reflection_limit,
     selectivity,
     selectivity_sweep,
     selectivity_tst,
     thermal_ratio_debye,
     thermal_ratio_london,
+    tst_activation,
     zero_point_frequency_shift,
 )
 from chiral_vacuum.acceptance import oracle_dense_halfspace_shift
@@ -508,3 +513,77 @@ def test_a_string_number_or_empty_sequence_is_rejected_naming_it(name, bad):
     arg, call = _SEQUENCE_ENTRIES[name]
     with pytest.raises(ValueError, match=f"^{arg} must be a non-empty sequence"):
         call(bad)
+
+
+# Each closed-form public entry, called on floats drawn from an edge set: zeros
+# of both signs, subnormals, the smallest normal, both sides of 0.5, values near
+# overflow, the infinities and NaN.  Every float it returns must be finite, or the
+# call (its domain objects included) raises ValueError.
+_EDGES = [0.0, 5e-324, 1e-320, 1e-310, sys.float_info.min, 1e-200, 1e-10, 0.4999999999, 0.5,
+          0.5000000001, 1.0, 2.0, 2.5, 3.0, 12.0, 300.0, 1e150, 1e154, 1e300, 1.7e308,
+          sys.float_info.max, math.inf]
+_edge_floats = st.sampled_from(_EDGES + [-v for v in _EDGES] + [math.nan])
+
+
+def _modes_of(w1, w2, v, c):
+    return CavityModeSet((CavityMode(w1, v, c), CavityMode(w2, v, c)))
+
+
+def _profile(barrier, omega, b, mass):
+    return ReactionProfile(barrier, omega, b, mass)
+
+
+_CLOSED_FORMS = {
+    "chiral_shift_nonretarded": lambda z, g1, s1, g2, s2, e, m, k, *_: chiral_shift_nonretarded(
+        z, MoleculeSpectrum.from_lists([g1, g2], [s1, s2]), PasteurMaterial(e, m, k)),
+    "energy_unit_mev": lambda g, s, *_: energy_unit_mev(MoleculeSpectrum.two_level(g, s)),
+    "length_unit_nm": lambda g, s, *_: length_unit_nm(MoleculeSpectrum.two_level(g, s)),
+    "reflection_limit": lambda e, m, k, *_: reflection_limit(PasteurMaterial(e, m, k)),
+    "reflection_cross": lambda c, e, m, k, *_: reflection_cross(c, PasteurMaterial(e, m, k)),
+    "bose_occupation": lambda w, t, *_: bose_occupation(w, Thermal(t)),
+    "thermal_ratio_debye": lambda w, t, *_: thermal_ratio_debye(w, Thermal(t)),
+    "thermal_ratio_london": lambda w, g, t, *_: thermal_ratio_london(w, g, Thermal(t)),
+    "london_shift": lambda w1, w2, v, c, g1, s1, g2, s2, *_: london_shift(
+        _modes_of(w1, w2, v, c), MoleculeSpectrum.from_lists([g1, g2], [s1, s2])),
+    "cavity_shift_report": lambda w1, w2, v, c, g1, s1, g2, s2, t: cavity_shift_report(
+        _modes_of(w1, w2, v, c), MoleculeSpectrum.from_lists([g1, g2], [s1, s2]),
+        thermal=Thermal(t)),
+    "debye_shift_per_molecule": lambda w1, w2, v, c, dx, dy, mx, my, t: tuple(
+        debye_shift_per_molecule(_modes_of(w1, w2, v, c),
+                                 PolarizedEnsemble((dx, dy, 0.0), (mx, my, 0.0), 7),
+                                 thermal=Thermal(temperature))
+        for temperature in (0.0, t)),
+    "selectivity": lambda de, t, *_: selectivity(de, Thermal(t)),
+    "selectivity_tst": lambda de, t, *p: selectivity_tst(de, _profile(*p[:4]), Thermal(t)),
+    "zero_point_frequency_shift": lambda *p: zero_point_frequency_shift(_profile(*p[:4])),
+    "tst_activation": lambda *p: tst_activation(_profile(*p[:4])),
+}
+
+
+def _returned_floats(result):
+    """Every float in ``result``: itself, or those in its tuples and dataclass fields."""
+    if isinstance(result, float):
+        return [result]
+    if isinstance(result, tuple):
+        return [x for item in result for x in _returned_floats(item)]
+    if hasattr(result, "__dataclass_fields__"):
+        return _returned_floats(tuple(vars(result).values()))
+    return []
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(list(_CLOSED_FORMS)), values=st.lists(_edge_floats, min_size=9,
+                                                                    max_size=9))
+@example(name="length_unit_nm", values=[5e-324, 0.0] + [1.0] * 7)  # 1/gap overflows
+@example(name="chiral_shift_nonretarded",  # the sum of the strengths overflows
+         values=[1.0, 2.0, 1.7e308, 2.0, 1.7e308, 1.0, 1.0, 0.4, 1.0])
+@example(name="bose_occupation", values=[1e-310, 300.0] + [1.0] * 7)  # omega/kT is subnormal
+def test_every_closed_form_value_is_finite_or_refused(name, values):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # tst_activation's negative activation energy
+            result = _CLOSED_FORMS[name](*values)
+    except ValueError:
+        return
+    floats = _returned_floats(result)
+    assert floats and all(map(math.isfinite, floats)), (name, values, result)
