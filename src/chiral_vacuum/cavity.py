@@ -26,8 +26,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import MoleculeSpectrum, Thermal, Transition, _float, _positive_count, _sequence, \
-    _store_floats, bose_occupation
+from .core import MoleculeSpectrum, Thermal, Transition, _float, _fsum, _positive_count, \
+    _sequence, _store_floats, bose_occupation
 from .units import BOHR_RADIUS_NM, FINE_STRUCTURE, RYDBERG_EV
 
 __all__ = [
@@ -118,19 +118,6 @@ _LONDON = "modes and molecule are out of range: the London sum overflows"
 _DEBYE = "modes and ensemble are out of range: the Debye sum overflows"
 
 
-def _fsum(terms, overflow: str, factor=1) -> float:
-    """``math.fsum(terms) * factor`` if finite; an overflow, inf - inf or NaN on the way
-    is ``ValueError(overflow)``."""
-    terms = list(terms)  # a term's own ValueError is raised here, outside the try
-    try:
-        total = math.fsum(terms) * factor
-    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
-        total = math.nan
-    if not math.isfinite(total):
-        raise ValueError(overflow)
-    return total
-
-
 def _london_single(mode: CavityMode, t: Transition) -> float:
     pref = (8.0 * math.pi / 3.0) * FINE_STRUCTURE * RYDBERG_EV \
         * (BOHR_RADIUS_NM**3 / mode.veff_nm3) * mode.chirality_factor
@@ -189,6 +176,8 @@ def thermal_ratio_london(omega_ev: float, gap_ev: float, thermal: Thermal) -> fl
     ------
     OutOfRegimeError
         If Omega >= E_eg (resonant; treated only qualitatively).
+    ValueError
+        If the ratio overflows, or as :func:`bose_occupation` does.
     """
     omega_ev, gap_ev = _float(omega_ev, "omega_ev"), _float(gap_ev, "gap_ev")
     if omega_ev >= gap_ev:
@@ -196,7 +185,11 @@ def thermal_ratio_london(omega_ev: float, gap_ev: float, thermal: Thermal) -> fl
             f"mode at {omega_ev} eV is resonant with the gap {gap_ev} eV"
         )
     n_b = bose_occupation(omega_ev, thermal)
-    return 1.0 - n_b * 2.0 * omega_ev / (gap_ev - omega_ev)
+    ratio = 1.0 - n_b * 2.0 * omega_ev / (gap_ev - omega_ev)
+    if math.isinf(ratio):  # a mode just below its gap at a huge k_B*T
+        raise ValueError(f"mode at {omega_ev} eV with the gap {gap_ev} eV is out of range at "
+                         f"k_B*T = {thermal.kbt_ev} eV: the London thermal ratio overflows")
+    return ratio
 
 
 def thermal_ratio_debye(omega_ev: float, thermal: Thermal) -> float:

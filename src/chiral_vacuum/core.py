@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .units import BOLTZMANN_EV
@@ -34,6 +35,19 @@ def _float(value, name: str, convert=float) -> float:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{name} must be a number, got {_shown(value)}")
+
+
+def _fsum(terms, overflow: str, factor=1) -> float:
+    """``math.fsum(terms) * factor`` if finite; an overflow, inf - inf or NaN on the way
+    is ``ValueError(overflow)``."""
+    terms = list(terms)  # a term's own ValueError is raised here, outside the try
+    try:
+        total = math.fsum(terms) * factor
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise ValueError(overflow)
+    return total
 
 
 def _store_floats(obj, *names: str, positive: tuple[str, ...] = ()) -> None:
@@ -157,7 +171,7 @@ def bose_occupation(omega_ev: float, thermal: Thermal) -> float:
     ----------
     omega_ev : float
         Mode energy in eV, strictly positive; ``ValueError`` if omega/kT
-        underflows to 0.
+        underflows to 0 or a subnormal, where 1/expm1 overflows.
     thermal : Thermal
         Temperature; T = 0 returns exactly 0.
 
@@ -172,8 +186,8 @@ def bose_occupation(omega_ev: float, thermal: Thermal) -> float:
     if thermal.temperature_k == 0.0:
         return 0.0
     x = omega_ev / thermal.kbt_ev
-    if x == 0.0:
-        raise ValueError(f"omega / k_B*T underflows to 0 at omega = {omega_ev} eV, "
+    if x < sys.float_info.min:
+        raise ValueError(f"omega / k_B*T underflows at omega = {omega_ev} eV, "
                          f"k_B*T = {thermal.kbt_ev} eV")
     if x > 700.0:  # exp would overflow; occupation is below double precision anyway
         return 0.0

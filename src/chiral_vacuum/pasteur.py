@@ -17,8 +17,8 @@ variables; physical energies are restored at the edges via the scale
     z_scale = 1 / E_10.
 
 All distances passed to the shift routines are multiples of z_scale;
-shift values are returned in multiples of E_scale and converted to meV
-in :class:`HalfspaceResult`.
+shift values are returned in multiples of E_scale, and
+:class:`HalfspaceResult` adds the shift in meV.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from math import exp as _exp, inf as _inf, sqrt as _sqrt
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import MoleculeSpectrum, _float, _sequence, _store_floats
+from .core import MoleculeSpectrum, _float, _fsum, _sequence, _store_floats
 from .units import E_CHARGE, HBAR, C_LIGHT, MU_0, BOHR_RADIUS, BOHR_MAGNETON, HBARC_EV_NM
 
 __all__ = [
@@ -114,15 +114,13 @@ MAX_SUBDIVISIONS = 200
 
 @dataclass(frozen=True)
 class HalfspaceResult:
-    """One point of a half-space sweep, in scaled units and meV."""
+    """One point of a half-space sweep, in scaled units, and its shift in meV."""
 
     z_over_zunit: float
     shift_eunit: float
     shift_mev: float
     nonretarded_eunit: float
-    nonretarded_mev: float
     error_eunit: float
-    error_mev: float
     warning: Optional[str] = None
 
 
@@ -356,8 +354,12 @@ def energy_unit_mev(molecule: MoleculeSpectrum) -> float:
 
 
 def length_unit_nm(molecule: MoleculeSpectrum) -> float:
-    """Length scale 1/E_10 of the first transition, in nm."""
-    return HBARC_EV_NM / molecule.transitions[0].gap_ev
+    """Length scale 1/E_10 of the first transition, in nm; ``ValueError`` if it overflows."""
+    gap_ev = molecule.transitions[0].gap_ev
+    length_nm = HBARC_EV_NM / gap_ev
+    if math.isinf(length_nm):
+        raise ValueError(f"gap {gap_ev!r} eV is out of range: the length unit overflows")
+    return length_nm
 
 
 def _transition_weights(molecule: MoleculeSpectrum):
@@ -483,7 +485,8 @@ def chiral_shift_nonretarded(z: float, molecule: MoleculeSpectrum,
     t0 = molecule.transitions[0]
     if t0.im_rot_strength == 0.0:
         return 0.0
-    strength_sum = math.fsum(t.im_rot_strength for t in molecule.transitions)
+    strength_sum = _fsum((t.im_rot_strength for t in molecule.transitions),
+                         "rotatory strengths are out of range: their sum overflows")
     coeff = (math.pi / 8.0) * reflection_limit(material) * strength_sum / t0.im_rot_strength
     try:
         value = coeff / z**3
@@ -499,11 +502,11 @@ def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
     """Evaluate the full and non-retarded shifts on a grid of distances.
 
     Every z is checked as by :func:`chiral_shift_halfspace`, before the
-    first quadrature; a point whose shift, non-retarded shift or error
-    overflows in meV raises ``ValueError`` naming z.  Per-point quadrature
-    failures are reported in the ``warning`` field of the corresponding
-    result instead of aborting the sweep.  The points share their inner
-    integrals, and each result is bit-identical to its point alone.
+    first quadrature; a point whose shift overflows in meV raises
+    ``ValueError`` naming z.  Per-point quadrature failures are reported in
+    the ``warning`` field of the corresponding result instead of aborting
+    the sweep.  The points share their inner integrals, and each result is
+    bit-identical to its point alone.
     """
     z_grid = _sequence(z_grid, "z_grid")
     e_mev = energy_unit_mev(molecule)
@@ -512,12 +515,10 @@ def halfspace_sweep(z_grid: Sequence[float], molecule: MoleculeSpectrum,
         shift_eunit=val,
         shift_mev=val * e_mev,
         nonretarded_eunit=nr,
-        nonretarded_mev=nr * e_mev,
         error_eunit=err,
-        error_mev=err * abs(e_mev),
         warning=warning,
     ) for z, (nr, val, err, warning) in zip(z_grid, _shift_scaled(z_grid, molecule, material))]
     for r in results:
-        if not all(map(math.isfinite, (r.shift_mev, r.nonretarded_mev, r.error_mev))):
+        if not math.isfinite(r.shift_mev):
             raise ValueError(f"z = {r.z_over_zunit!r} is out of range: a value in meV overflows")
     return results

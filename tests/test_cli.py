@@ -584,6 +584,10 @@ def test_underflowing_material_product_exits_2(capsys):
       "--sweep.z_scale", "log"], "z = 1e-300 "),  # a grid point, named as a Python float
     (["--molecule.gap_ev", "2,3", "--molecule.im_rot_strength", "0,0.1", "--sweep.z_list", "1"],
      "first transition has zero rotatory strength"),  # the energy unit is undefined
+    (["--molecule.gap_ev", "5e-324", "--molecule.im_rot_strength", "0", "--sweep.z_list", "1"],
+     "gap 5e-324 eV is out of range: the length unit overflows"),
+    (["--molecule.gap_ev", "2,2", "--molecule.im_rot_strength", "1.7e308,1.7e308",
+      "--sweep.z_list", "1"], "rotatory strengths are out of range: their sum overflows"),
 ])
 def test_out_of_range_value_exits_1_naming_it(flags, value, tmp_path, capsys):
     path = tmp_path / "out.csv"
@@ -608,16 +612,19 @@ def test_smallest_distances_compute_or_name_the_non_finite_column(capsys):
     assert err == "error: z = 1e-105 is out of range: the non-retarded shift overflows\n"
 
 
+@pytest.mark.parametrize("omega,temperature_k", [("1e-320", "1e300"), ("1e-310", "300")])
 @pytest.mark.parametrize("command", ["cavity", "debye"])
-def test_mode_energy_whose_ratio_to_kbt_underflows_exits_1(command, tmp_path, capsys):
-    # omega / k_B*T is 0.0, where the Bose occupation 1/expm1(0) divided by zero
+def test_mode_energy_whose_ratio_to_kbt_underflows_exits_1(command, omega, temperature_k,
+                                                           tmp_path, capsys):
+    # omega / k_B*T is 0.0, where the Bose occupation 1/expm1(0) divides by zero, or
+    # subnormal, where it overflows
     path = tmp_path / "out.csv"
-    code, out, err = run_cli([command, "--cavity.modes", "1e-320", "--thermal.temperature_k",
-                              "1e300", "--output.path", str(path)], capsys)
+    code, out, err = run_cli([command, "--cavity.modes", omega, "--thermal.temperature_k",
+                              temperature_k, "--output.path", str(path)], capsys)
     assert code == 1
     assert out == "" and not path.exists()
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: omega / k_B*T underflows to 0 at omega = 1e-320 eV")
+    assert err.startswith(f"error: omega / k_B*T underflows at omega = {omega} eV")
 
 
 @pytest.mark.parametrize("command", ["cavity", "debye"])
@@ -650,6 +657,16 @@ def test_pasteur_with_zero_rotatory_strengths_writes_zeros(capsys):
     assert [row[0] for row in rows] == [0.5, 2.0]
     assert all(v == 0.0 for row in rows for v in row[1:])
     assert "# note: energy_unit_meV = 0.0" in header_lines(out)
+
+
+def test_pasteur_row_of_finite_cells_exits_0_where_its_error_in_mev_would_overflow(capsys):
+    # the two strengths cancel, so every cell is finite, but the error estimate times
+    # the 8.1e290 meV energy unit is not; the row holds no error in meV
+    code, out, err = run_cli(["pasteur", "--molecule.gap_ev", "1e100,1e100",
+                              "--molecule.im_rot_strength", "1,-1", "--material.kappa", "0.4",
+                              "--sweep.z_list", "1e-9"], capsys)
+    assert code == 0 and err == ""
+    assert data_rows(out) == ["1e-09,0.0,0.0,-0.0,8.074638686377518e+20"]
 
 
 # ------------------------------------------------------- the exit contract

@@ -578,6 +578,8 @@ def _returned_floats(result):
 @example(name="chiral_shift_nonretarded",  # the sum of the strengths overflows
          values=[1.0, 2.0, 1.7e308, 2.0, 1.7e308, 1.0, 1.0, 0.4, 1.0])
 @example(name="bose_occupation", values=[1e-310, 300.0] + [1.0] * 7)  # omega/kT is subnormal
+@example(name="thermal_ratio_london",  # a mode just below its gap at a huge k_B*T
+         values=[0.4999999999, 0.5, 1.7e308] + [1.0] * 6)
 def test_every_closed_form_value_is_finite_or_refused(name, values):
     try:
         with warnings.catch_warnings():
