@@ -669,19 +669,23 @@ def test_pasteur_row_of_finite_cells_exits_0_where_its_error_in_mev_would_overfl
     assert data_rows(out) == ["1e-09,0.0,0.0,-0.0,8.074638686377518e+20"]
 
 
-# ------------------------------------------------------- the exit contract
+# ----------------------- the exit contract, and every cell its library value
 
 # One edge-rich strategy per parse kind of config.REGISTRY: zeros of both
 # signs, subnormals, the smallest normal, both sides of 0.5, values near
 # overflow and past it, NaN, infinities, words, and ints of up to 4,000
-# digits.  A key whose parse kind is not listed is a _choice.
+# digits.  A key whose parse kind is not listed is a _choice.  A float is
+# also drawn, first, from moderate values that most keys accept, so that
+# drawn runs reach the physics, a nonzero curvature or kappa included.
 _EDGE_FLOATS = ["0", "-0.0", "5e-324", "-5e-324", "1e-320", "2.2e-308", "1e-200", "1e-10",
                 "0.4999999999", "0.5", "0.5000000001", "1", "-1", "2", "2.5", "3", "-3", "12",
                 "300", "-100", "1e150", "1e154", "-1e154", "1e300", "1.7e308", "-1.7e308",
                 "1e309", "nan", "inf", "-inf", "abc", "1" + "0" * 400, "-" + "9" * 4000]
 _EDGE_INTS = ["0", "1", "2", "3", "-1", "10", "1000000", "1000001", "1" + "0" * 320,
               "1.5", "abc", "9" * 4000]
-_floats = st.sampled_from(_EDGE_FLOATS)
+_ACCEPTED_FLOATS = ["0.05", "0.1", "0.2", "0.5", "1.5", "5",
+                    "-0.05", "-0.1", "-0.2", "-0.5", "-1.5", "-5"]
+_floats = st.sampled_from(_ACCEPTED_FLOATS) | st.sampled_from(_EDGE_FLOATS)
 _ints = st.sampled_from(_EDGE_INTS)
 
 
@@ -716,12 +720,19 @@ def _keys(command):
     return [key for key in parse_config([command]).values if key != "output.path"]
 
 
+# the key of each command whose default 0 makes its chiral columns 0
+_ZERO_AT_DEFAULT = {"pasteur": "material.kappa", "tst": "profile.curvature_b_ev3"}
+
+
 @st.composite
 def _argvs(draw, commands):
-    """A command and a drawn value for each of a drawn subset of its keys.  A pasteur
-    run computes 1-3 z: a list of 1-3, or a grid of 1-3 points."""
+    """A command and a drawn value for each of a drawn subset of its keys, and of its
+    key in _ZERO_AT_DEFAULT.  A pasteur run computes 1-3 z: a list of 1-3, or a grid
+    of 1-3 points."""
     command = draw(st.sampled_from(commands))
     keys = draw(st.lists(st.sampled_from(_keys(command)), unique=True, max_size=3))
+    if command in _ZERO_AT_DEFAULT and _ZERO_AT_DEFAULT[command] not in keys:
+        keys.append(_ZERO_AT_DEFAULT[command])
     values = {key: draw(_kind(key)) for key in keys}
     if command == "pasteur":
         values["sweep.z_list"] = draw(st.lists(_floats, min_size=1, max_size=3).map(",".join)
@@ -735,61 +746,6 @@ def _argvs(draw, commands):
 # of a mode whose T = 0 sum cancels to 0 while its thermal sum does not
 _README_MISSING = {("cavity", "london_thermal_ratio")}
 
-
-def _check_exit_contract(argv, path):
-    """``cli.main(argv)`` exits 0, 1 or 2.  On 1 or 2 it prints one line that is not a
-    ``warning:`` and writes nothing, and on 2 the line names a key; on 0 the output is
-    strict JSON, or CSV with ``nan`` only where README allows it.  A pasteur point
-    failure is the one exit 1 with rows: an ``error_flag`` column and ``warning:`` lines."""
-    path.unlink(missing_ok=True)  # from an earlier example
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--output.path", str(path)])
-    lines = err.getvalue().splitlines()
-    errors = [line for line in lines if not line.startswith("warning:")]
-    assert code in (0, 1, 2) and out.getvalue() == "", (code, lines)
-    assert not any("Traceback" in line for line in lines), lines
-    if code == 1 and not errors:  # a pasteur point failure
-        assert argv[0] == "pasteur" and all(l.startswith("warning: z = ") for l in lines), lines
-        assert "error_flag" in path.read_text()
-        return
-    if code:
-        assert len(errors) == 1 and not path.exists(), lines
-        if code == 2:
-            assert errors[0].startswith("config error:"), errors
-            assert any(repr(key) in errors[0] for key in config.REGISTRY), errors
-        return
-    assert not errors, lines
-    text = path.read_text()
-    if "--output.format=json" in argv:
-        json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
-        return
-    names = [line.split(":")[1].split()[0] for line in text.splitlines()
-             if line.startswith("# column ")]
-    for row in data_rows(text):
-        for name, cell in zip(names, row.split(",")):
-            assert cell not in ("inf", "-inf"), (name, row)
-            assert cell != "nan" or (argv[0], name) in _README_MISSING, (name, row)
-
-
-_EXIT_CONTRACT = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-
-@settings(_EXIT_CONTRACT, max_examples=150)
-@given(argv=_argvs(["cavity", "debye", "selectivity", "tst"]))
-def test_every_drawn_argv_keeps_the_exit_contract(argv, tmp_path):
-    # verify takes only output keys, and runs the whole suite, about 1 s
-    _check_exit_contract(argv, tmp_path / "out")
-
-
-@settings(_EXIT_CONTRACT, max_examples=10)
-@given(argv=_argvs(["pasteur"]))
-def test_every_drawn_pasteur_argv_keeps_the_exit_contract(argv, tmp_path):
-    # a computed point costs 0.1-1 s of quadrature, so few examples
-    _check_exit_contract(argv, tmp_path / "out")
-
-
-# ----------------------------------------- every cell is its library value
 
 def _read_back(text, fmt):
     """(rows, notes) of an output as the runner wrote them: each cell an int, a
@@ -863,30 +819,61 @@ def _library_output(cfg, rows):
     return [(*row, e_a, d_omega, p_tst) for row, (_, _, p_tst) in zip(plain, corrected)], {}
 
 
-def _check_cells(argv, path):
-    """On exit 0, every cell and note of ``cli.main(argv)``'s output equals the
-    library value it reports."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def _check_run(argv, path):
+    """``cli.main(argv)``, run once, exits 0, 1 or 2.  On 1 or 2 it prints one line that
+    is not a ``warning:`` and writes nothing, and on 2 the line names a key; on 0 the
+    output is strict JSON, or CSV with ``nan`` only where README allows it, and every
+    cell and note equals the library value it reports.  A pasteur point failure is the
+    one exit 1 with rows: an ``error_flag`` column and ``warning:`` lines."""
+    path.unlink(missing_ok=True)  # from an earlier example
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ["--output.path", str(path)])
-    if code:
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if not line.startswith("warning:")]
+    assert code in (0, 1, 2) and out.getvalue() == "", (code, lines)
+    assert not any("Traceback" in line for line in lines), lines
+    if code == 1 and not errors:  # a pasteur point failure
+        assert argv[0] == "pasteur" and all(l.startswith("warning: z = ") for l in lines), lines
+        assert "error_flag" in path.read_text()
         return
-    cfg = parse_config(argv)
-    rows, notes = _read_back(path.read_text(), cfg["output.format"])
+    if code:
+        assert len(errors) == 1 and not path.exists(), lines
+        if code == 2:
+            assert errors[0].startswith("config error:"), errors
+            assert any(repr(key) in errors[0] for key in config.REGISTRY), errors
+        return
+    assert not errors, lines
+    text, cfg = path.read_text(), parse_config(argv)
+    if cfg["output.format"] == "json":
+        json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+    else:
+        names = [line.split(":")[1].split()[0] for line in text.splitlines()
+                 if line.startswith("# column ")]
+        for row in data_rows(text):
+            for name, cell in zip(names, row.split(",")):
+                assert cell not in ("inf", "-inf"), (name, row)
+                assert cell != "nan" or (argv[0], name) in _README_MISSING, (name, row)
+    rows, notes = _read_back(text, cfg["output.format"])
     assert (rows, notes) == _library_output(cfg, rows), argv
 
 
-# Few drawn argvs that exit 0 set a nonzero curvature or kappa, whose columns
-# are 0 at the defaults, so one fixed example each is added to the draws.
+_EXIT_CONTRACT = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+# One fixed example each of a nonzero curvature, a resonant mode and a nonzero kappa.
 @settings(_EXIT_CONTRACT, max_examples=150)
 @given(argv=_argvs(["cavity", "debye", "selectivity", "tst"]))
 @example(argv=["tst", "--profile.curvature_b_ev3=9e5", "--thermal.temperatures=300"])
 @example(argv=["cavity", "--cavity.modes=1.0,2.5"])
-def test_every_cell_of_a_drawn_argv_is_its_library_value(argv, tmp_path):
-    _check_cells(argv, tmp_path / "out")
+def test_every_drawn_argv_keeps_the_exit_contract(argv, tmp_path):
+    # verify takes only output keys, and runs the whole suite, about 1 s
+    _check_run(argv, tmp_path / "out")
 
 
 @settings(_EXIT_CONTRACT, max_examples=10)
 @given(argv=_argvs(["pasteur"]))
 @example(argv=["pasteur", "--material.kappa=0.4", "--sweep.z_list=0.5,2"])
-def test_every_cell_of_a_drawn_pasteur_argv_is_its_library_value(argv, tmp_path):
-    _check_cells(argv, tmp_path / "out")
+def test_every_drawn_pasteur_argv_keeps_the_exit_contract(argv, tmp_path):
+    # a computed point costs 0.1-1 s of quadrature, so few examples
+    _check_run(argv, tmp_path / "out")

@@ -4,7 +4,8 @@ Each case runs through ``cli.main`` in-process and writes to a relative
 ``--output.path``, so the echoed path is the golden file's own name.
 The exit code must be 0, stdout empty and the file equal to
 ``tests/golden/<name>``, and the ``pasteur`` cases keep their bytes in a
-child with numpy's CPU-specific loops switched off.  A change that moves
+child with numpy's CPU-specific loops switched off, and in one with
+OpenBLAS's kernels for another CPU.  A change that moves
 output bytes on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,6 +19,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from chiral_vacuum import cli
@@ -62,21 +64,37 @@ def _above_baseline_targets() -> list:
     return [t for t in getattr(umath, "__cpu_dispatch__", ()) if found.get(t)]
 
 
-def test_pasteur_cases_keep_their_bytes_without_numpys_cpu_specific_loops(tmp_path):
-    # numpy's exp, log, power and hypot loops round differently per SIMD
-    # target; identical configurations must still give identical files
-    targets = _above_baseline_targets()
-    if not targets:
-        pytest.skip("numpy found no SIMD target above its baseline on this CPU")
-    names = ["pasteur.csv", "pasteur_log.csv"]
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
-           "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+def _cases_keep_their_bytes_in_a_child(names, env, tmp_path):
+    """Write the cases ``names`` in a child with ``env`` added to its environment,
+    and compare each with its golden file."""
+    env = {**os.environ, **env, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
     script = ("import json, sys; from chiral_vacuum import cli; "
               "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))")
     subprocess.run([sys.executable, "-c", script, json.dumps([CASES[n] for n in names])],
                    cwd=tmp_path, env=env, check=True)
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_pasteur_cases_keep_their_bytes_without_numpys_cpu_specific_loops(tmp_path):
+    # numpy's exp, log, power and hypot loops round differently per SIMD
+    # target; identical configurations must still give identical files
+    targets = _above_baseline_targets()
+    if not targets:
+        pytest.skip("numpy found no SIMD target above its baseline on this CPU")
+    _cases_keep_their_bytes_in_a_child(["pasteur.csv", "pasteur_log.csv"],
+                                       {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}, tmp_path)
+
+
+def test_pasteur_cases_keep_their_bytes_under_openblas_prescott_kernels(tmp_path):
+    # OpenBLAS picks its kernels per CPU, and its dot products round differently
+    # per kernel (a 7-element x @ x moves its last bit under Prescott); so no
+    # output path may call BLAS, as @ on vectors does
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "openblas" not in blas.get("name", "").lower():
+        pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS")
+    _cases_keep_their_bytes_in_a_child([name for name in CASES if name.startswith("pasteur")],
+                                       {"OPENBLAS_CORETYPE": "Prescott"}, tmp_path)
 
 
 def regenerate() -> None:
