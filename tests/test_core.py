@@ -97,8 +97,8 @@ def test_bose_no_overflow_for_huge_ratio():
 
 @pytest.mark.parametrize("omega,temperature_k", [(1e-320, 1e300), (5e-324, 1e10),
                                                   (1e-310, 300.0)])
-def test_bose_rejects_a_ratio_that_underflows(omega, temperature_k):
-    # 1/expm1(x) divides by zero at x = 0 and overflows at a subnormal x
+def test_bose_rejects_a_ratio_that_underflows_to_zero(omega, temperature_k):
+    # 1/expm1(x) divides by zero at x = 0, and overflows at a subnormal x, refused alike
     thermal = Thermal(temperature_k)
     with pytest.raises(ValueError, match="omega / k_B\\*T underflows at") as err:
         bose_occupation(omega, thermal)

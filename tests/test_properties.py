@@ -529,10 +529,6 @@ def _modes_of(w1, w2, v, c):
     return CavityModeSet((CavityMode(w1, v, c), CavityMode(w2, v, c)))
 
 
-def _profile(barrier, omega, b, mass):
-    return ReactionProfile(barrier, omega, b, mass)
-
-
 _CLOSED_FORMS = {
     "chiral_shift_nonretarded": lambda z, g1, s1, g2, s2, e, m, k, *_: chiral_shift_nonretarded(
         z, MoleculeSpectrum.from_lists([g1, g2], [s1, s2]), PasteurMaterial(e, m, k)),
@@ -554,9 +550,9 @@ _CLOSED_FORMS = {
                                  thermal=Thermal(temperature))
         for temperature in (0.0, t)),
     "selectivity": lambda de, t, *_: selectivity(de, Thermal(t)),
-    "selectivity_tst": lambda de, t, *p: selectivity_tst(de, _profile(*p[:4]), Thermal(t)),
-    "zero_point_frequency_shift": lambda *p: zero_point_frequency_shift(_profile(*p[:4])),
-    "tst_activation": lambda *p: tst_activation(_profile(*p[:4])),
+    "selectivity_tst": lambda de, t, *p: selectivity_tst(de, ReactionProfile(*p[:4]), Thermal(t)),
+    "zero_point_frequency_shift": lambda *p: zero_point_frequency_shift(ReactionProfile(*p[:4])),
+    "tst_activation": lambda *p: tst_activation(ReactionProfile(*p[:4])),
 }
 
 
