@@ -12,8 +12,6 @@ import sys
 import warnings
 from typing import Optional
 
-import numpy as np
-
 from .cavity import (
     CavityMode,
     CavityModeSet,
@@ -51,22 +49,11 @@ def _build_modes(config: RunConfig) -> CavityModeSet:
                   "cavity.modes", "cavity.veff_nm3", "cavity.chirality_factor")
 
 
-def _z_grid(config: RunConfig) -> list:
-    if config["sweep.z_list"] is not None:
-        return config["sweep.z_list"]
-    lo, hi, n = config["sweep.z_min"], config["sweep.z_max"], config["sweep.z_points"]
-    if config["sweep.z_scale"] == "linear":
-        return np.linspace(lo, hi, n).tolist()
-    # math's exp and log, as numpy's loops round differently on different CPUs
-    ln_lo, step = math.log(lo), (math.log(hi) - math.log(lo)) / max(n - 1, 1)
-    return [lo, *(math.exp(ln_lo + k * step) for k in range(1, n - 1)), hi][:n]
-
-
 def _run_pasteur(config: RunConfig) -> tuple[tuple, int]:
     molecule = _build_molecule(config)
     material = _build(PasteurMaterial, config,
                       "material.eps_r", "material.mu_r", "material.kappa")
-    results = halfspace_sweep(_z_grid(config), molecule, material)
+    results = halfspace_sweep(config["sweep.z_list"], molecule, material)
     any_failed = any(r.warning is not None for r in results)
     columns = [
         Column("z_over_zunit", "z_unit"),

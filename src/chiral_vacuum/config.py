@@ -1,4 +1,4 @@
-"""Run configuration: defaults, config-file parsing, flag overrides.
+"""Run configuration: defaults, config-file parsing, flag overrides, the z grid.
 
 Config files are line-based ``key = value`` text with ``#`` comments.
 Command-line flags ``--dotted.key value`` override file values, which
@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -215,7 +217,8 @@ COMMANDS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...], str]] = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved and validated configuration for one run."""
+    """Fully resolved and validated configuration for one run; a pasteur run's
+    ``sweep.z_list`` is the z grid it computes."""
 
     command: str
     values: dict = field(default_factory=dict)
@@ -264,13 +267,26 @@ def _split_flags(tokens: list[str]) -> dict[str, tuple[str, None]]:
     return flags
 
 
+def _z_grid(values: dict) -> list[float]:
+    """``sweep.z_list`` as given, else ``z_points`` values from ``z_min`` to ``z_max``."""
+    if values["sweep.z_list"] is not None:
+        return values["sweep.z_list"]
+    lo, hi, n = values["sweep.z_min"], values["sweep.z_max"], values["sweep.z_points"]
+    if values["sweep.z_scale"] == "linear":
+        return np.linspace(lo, hi, n).tolist()
+    # math's exp and log, as numpy's loops round differently on different CPUs
+    ln_lo, step = math.log(lo), (math.log(hi) - math.log(lo)) / max(n - 1, 1)
+    return [lo, *(math.exp(ln_lo + k * step) for k in range(1, n - 1)), hi][:n]
+
+
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve command, config file and flags into a validated RunConfig.
 
     Precedence: built-in defaults < config file < flags.  Unknown keys,
     unparseable or out-of-range values and a run whose work exceeds
     ``MAX_GRID_POINTS`` are rejected with the offending keys named (and
-    the line number for file entries).
+    the line number for file entries).  A pasteur run's z grid is resolved
+    into ``sweep.z_list``.
     """
     if not argv:
         raise ConfigError(f"missing command; expected one of {', '.join(COMMANDS)}")
@@ -313,6 +329,8 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise ConfigError(f"cannot parse value {shown}: {exc}", key=key, line=line)
         raw[key] = value_str
 
+    if "sweep.z_list" in values:
+        values["sweep.z_list"] = _z_grid(values)
     if values.get("cavity.modes_detailed") is not None:
         work = tuple("cavity.modes_detailed" if k == "cavity.modes" else k for k in work)
     if math.prod(len(values[key]) for key in work) > MAX_GRID_POINTS:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from chiral_vacuum import cli, config
@@ -22,6 +23,21 @@ def test_pasteur_kappa_defaults_to_zero_and_overrides():
     assert cfg["material.kappa"] == 0.0
     cfg = parse_config(["pasteur", "--material.kappa", "0.4"])
     assert cfg["material.kappa"] == 0.4
+
+
+@pytest.mark.parametrize("flags,grid", [
+    (["--sweep.z_list", "2,0.5,2", "--sweep.z_points", "7"], [2.0, 0.5, 2.0]),
+    ([], np.linspace(0.1, 2.0, 50).tolist()),
+    (["--sweep.z_min", "3", "--sweep.z_points", "1"], [3.0]),
+    (["--sweep.z_scale", "log", "--sweep.z_min", "1e-3", "--sweep.z_max", "1e2",
+      "--sweep.z_points", "6"], [1e-3, *(pytest.approx(z, rel=1e-14) for z in (1e-2, 0.1, 1.0, 10.0)), 1e2]),
+    (["--sweep.z_scale", "log", "--sweep.z_points", "1"], [0.1]),
+], ids=["list", "linear", "one-point", "log", "one-point-log"])
+def test_pasteur_z_grid_is_resolved_at_parse_time(flags, grid):
+    cfg = parse_config(["pasteur", *flags])
+    assert cfg["sweep.z_list"] == grid
+    assert all(type(z) is float for z in cfg["sweep.z_list"])  # no numpy scalar reprs
+    assert cfg.raw["sweep.z_list"] == ("2,0.5,2" if flags[:1] == ["--sweep.z_list"] else "")
 
 
 def test_flag_beats_config_file(tmp_path):
