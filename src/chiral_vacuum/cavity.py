@@ -132,7 +132,8 @@ def london_shift(modes: CavityModeSet, molecule: MoleculeSpectrum) -> float:
     ``molecule.mirror()``.  For the canonical ten left-handed modes this
     is negative.
     """
-    return cavity_shift_report(modes, molecule).london_total_t0_ev
+    return _fsum((_fsum((_london_single(m, t) for t in molecule.transitions), _LONDON)
+                  for m in modes.modes), _LONDON)
 
 
 def _debye_mode_base(mode: CavityMode, ensemble: PolarizedEnsemble) -> float:
@@ -164,6 +165,15 @@ def debye_shift_per_molecule(modes: CavityModeSet, ensemble: PolarizedEnsemble, 
                   for m in modes.modes), _DEBYE)
 
 
+def _london_ratio(omega_ev: float, gap_ev: float, n_b: float, thermal: Thermal) -> float:
+    """``thermal_ratio_london`` of a non-resonant mode of occupation ``n_b``."""
+    ratio = 1.0 - n_b * 2.0 * omega_ev / (gap_ev - omega_ev)
+    if math.isinf(ratio):  # a mode just below its gap at a huge k_B*T
+        raise ValueError(f"mode at {omega_ev} eV with the gap {gap_ev} eV is out of range at "
+                         f"k_B*T = {thermal.kbt_ev} eV: the London thermal ratio overflows")
+    return ratio
+
+
 def thermal_ratio_london(omega_ev: float, gap_ev: float, thermal: Thermal) -> float:
     """Finite-temperature ratio for a single-mode London shift.
 
@@ -184,12 +194,7 @@ def thermal_ratio_london(omega_ev: float, gap_ev: float, thermal: Thermal) -> fl
         raise OutOfRegimeError(
             f"mode at {omega_ev} eV is resonant with the gap {gap_ev} eV"
         )
-    n_b = bose_occupation(omega_ev, thermal)
-    ratio = 1.0 - n_b * 2.0 * omega_ev / (gap_ev - omega_ev)
-    if math.isinf(ratio):  # a mode just below its gap at a huge k_B*T
-        raise ValueError(f"mode at {omega_ev} eV with the gap {gap_ev} eV is out of range at "
-                         f"k_B*T = {thermal.kbt_ev} eV: the London thermal ratio overflows")
-    return ratio
+    return _london_ratio(omega_ev, gap_ev, bose_occupation(omega_ev, thermal), thermal)
 
 
 def thermal_ratio_debye(omega_ev: float, thermal: Thermal) -> float:
@@ -230,7 +235,8 @@ def cavity_shift_report(modes: CavityModeSet, molecule: MoleculeSpectrum, *,
         if resonant:
             ratio, london = None, london_t0
         else:
-            london = _fsum((term * thermal_ratio_london(mode.omega_ev, t.gap_ev, thermal)
+            n_b = bose_occupation(mode.omega_ev, thermal)
+            london = _fsum((term * _london_ratio(mode.omega_ev, t.gap_ev, n_b, thermal)
                             for t, term in t0_terms), _LONDON)
             ratio = london / london_t0 if london_t0 != 0.0 else (1.0 if london == 0.0 else None)
         t0_col.append(london_t0)

@@ -11,6 +11,8 @@ from chiral_vacuum import (
     OutOfRegimeError,
     PolarizedEnsemble,
     Thermal,
+    bose_occupation,
+    cavity,
     cavity_shift_report,
     debye_shift_per_molecule,
     london_shift,
@@ -315,6 +317,26 @@ def test_report_ratio_is_none_where_only_the_t0_sum_cancels():
     assert rep.london_thermal_ratio == (None,)
     # both sums 0 at T = 0: the ratio is 1.0
     assert cavity_shift_report(modes, mol).london_thermal_ratio == (1.0,)
+
+
+def test_report_takes_one_bose_occupation_per_mode(monkeypatch):
+    # n_B depends on the mode alone, so the two transitions of each mode share it,
+    # and each thermal term is its T = 0 term times thermal_ratio_london, to the bit
+    two = MoleculeSpectrum.from_lists([2.0, 3.5], [0.1, -0.04])
+    thermal = Thermal(300.0)
+    expected = [math.fsum(london_shift(CavityModeSet((m,)), MoleculeSpectrum.two_level(
+        t.gap_ev, t.im_rot_strength)) * thermal_ratio_london(m.omega_ev, t.gap_ev, thermal)
+        for t in two.transitions) for m in TEN_LEFT.modes]
+    calls = []
+
+    def counted(omega_ev, thermal):
+        calls.append(omega_ev)
+        return bose_occupation(omega_ev, thermal)
+
+    monkeypatch.setattr(cavity, "bose_occupation", counted)
+    rep = cavity_shift_report(TEN_LEFT, two, thermal=thermal)
+    assert calls == [m.omega_ev for m in TEN_LEFT.modes]
+    assert list(rep.london_ev) == expected
 
 
 def test_report_thermal_is_keyword_only():
