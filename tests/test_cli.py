@@ -674,8 +674,9 @@ def test_pasteur_row_of_finite_cells_exits_0_where_its_error_in_mev_would_overfl
 # signs, subnormals, the smallest normal, both sides of 0.5, values near
 # overflow and past it, NaN, infinities, words, and ints of up to 4,000
 # digits.  A key whose parse kind is not listed is a _choice.  A float is
-# also drawn, first, from moderate values that most keys accept, so that
-# drawn runs reach the physics, a nonzero curvature or kappa included.
+# also drawn, first, from moderate values that most keys accept, and a word
+# from those its key accepts, so that drawn runs reach the physics, a nonzero
+# curvature or kappa included.
 _EDGE_FLOATS = ["0", "-0.0", "5e-324", "-5e-324", "1e-320", "2.2e-308", "1e-200", "1e-10",
                 "0.4999999999", "0.5", "0.5000000001", "1", "-1", "2", "2.5", "3", "-3", "12",
                 "300", "-100", "1e150", "1e154", "-1e154", "1e300", "1.7e308", "-1.7e308",
@@ -688,8 +689,12 @@ _floats = st.sampled_from(_ACCEPTED_FLOATS) | st.sampled_from(_EDGE_FLOATS)
 _ints = st.sampled_from(_EDGE_INTS)
 
 
-def _lists(items):
-    return st.lists(items, min_size=1, max_size=3).map(",".join) | st.sampled_from(["", ","])
+@st.composite
+def _lists(draw, items):
+    """1-3 items, or, at a small share of draws, an empty list."""
+    if draw(st.sampled_from(range(10))) == 9:  # not 0, which hypothesis draws most
+        return draw(st.sampled_from(["", ","]))
+    return ",".join(draw(st.lists(items, min_size=1, max_size=3)))
 
 
 _float_lists = _lists(_floats)
@@ -708,11 +713,24 @@ _PARSE_KINDS = {
     config._parse_modes_detailed: _modes_detailed,
     config.REGISTRY["sweep.n_list"].parse: _lists(_ints),
 }
-_WORDS = st.sampled_from(["linear", "log", "csv", "json", "xml", "LOG", ""])
+_WORDS = ["linear", "log", "csv", "json", "xml", "LOG", ""]
+
+
+def _accepts(parse, word):
+    try:
+        parse(word)
+    except ValueError:
+        return False
+    return True
 
 
 def _kind(key):
-    return _PARSE_KINDS.get(config.REGISTRY[key].parse, _WORDS)
+    parse = config.REGISTRY[key].parse
+    if parse in _PARSE_KINDS:
+        return _PARSE_KINDS[parse]
+    accepted = [word for word in _WORDS if _accepts(parse, word)]
+    return st.sampled_from(accepted) | st.sampled_from(
+        [word for word in _WORDS if word not in accepted])
 
 
 def _keys(command):
